@@ -234,8 +234,24 @@ def share_prefixes(network: Network) -> int:
     surviving STE is report-preserving.  Iterating re-canonicalizes
     downstream nodes, collapsing shared rule prefixes chain by chain
     (the classic multi-pattern prefix-tree collapse).
+
+    The fixpoint is round-synchronous: every round keys the surviving
+    STEs under the merges of earlier rounds, then folds each group of
+    equal keys into its earliest member.  Only a merge can change a
+    key -- the survivor's and those of the merged nodes' successors --
+    so one persistent ``key -> members`` map is re-keyed for exactly
+    those nodes each round.  The pass costs one sweep over the edges
+    plus the in-edges of re-keyed nodes, not one full sweep per round.
     """
-    order = {node_id: i for i, node_id in enumerate(network.nodes)}
+    nodes = network.nodes
+    order = {node_id: i for i, node_id in enumerate(nodes)}
+    # wiring per surviving representative, in original node ids; a
+    # merge appends the dropped node's lists to its survivor's
+    incoming: dict[str, list[tuple[str, str]]] = {}
+    successors: dict[str, list[str]] = {}
+    for conn in network.connections:
+        incoming.setdefault(conn.target, []).append((conn.source, conn.source_port))
+        successors.setdefault(conn.source, []).append(conn.target)
     canon: dict[str, str] = {}
 
     def resolve(node_id: str) -> str:
@@ -243,41 +259,59 @@ def share_prefixes(network: Network) -> int:
             node_id = canon[node_id]
         return node_id
 
+    def key_of(ste: STE) -> tuple:
+        context = set()
+        for source, port in incoming.get(ste.id, ()):
+            source = resolve(source)
+            context.add((_SELF if source == ste.id else source, port))
+        return (
+            ste.symbol_set.mask,
+            ste.start,
+            ste.report,
+            ste.report_id,
+            frozenset(context),
+        )
+
+    keys: dict[str, tuple] = {}
+    buckets: dict[tuple, list[str]] = {}
+    dirty: Iterable[str] = [ste.id for ste in network.stes()]
     merged = 0
     while True:
-        incoming: dict[str, set[tuple[str, str]]] = {}
-        for conn in network.connections:
-            target = resolve(conn.target)
-            if not isinstance(network.nodes[target], STE):
+        # after every round each bucket holds at most one survivor, so
+        # only buckets a re-keyed node just joined can hold a group
+        joined: set[tuple] = set()
+        for node_id in dirty:
+            key = key_of(nodes[node_id])
+            old = keys.get(node_id)
+            if old == key:
                 continue
-            source = resolve(conn.source)
-            incoming.setdefault(target, set()).add(
-                (_SELF if source == target else source, conn.source_port)
-            )
-        groups: dict[tuple, list[str]] = {}
-        for ste in network.stes():
-            if resolve(ste.id) != ste.id:
-                continue  # already folded away this round
-            key = (
-                ste.symbol_set.mask,
-                ste.start,
-                ste.report,
-                ste.report_id,
-                frozenset(incoming.get(ste.id, frozenset())),
-            )
-            groups.setdefault(key, []).append(ste.id)
-        changed = False
-        for members in groups.values():
-            if len(members) < 2:
-                continue
+            if old is not None:
+                buckets[old].remove(node_id)
+            keys[node_id] = key
+            buckets.setdefault(key, []).append(node_id)
+            joined.add(key)
+        groups = [buckets[key] for key in joined if len(buckets[key]) > 1]
+        if not groups:
+            break
+        touched: set[str] = set()
+        for members in groups:
             members.sort(key=order.__getitem__)
             keep = members[0]
             for drop in members[1:]:
                 canon[drop] = keep
                 merged += 1
-            changed = True
-        if not changed:
-            break
+                del keys[drop]
+                incoming.setdefault(keep, []).extend(incoming.pop(drop, ()))
+                moved = successors.pop(drop, [])
+                successors.setdefault(keep, []).extend(moved)
+                touched.update(moved)
+            del members[1:]
+            touched.add(keep)
+        dirty = {
+            node_id
+            for node_id in map(resolve, touched)
+            if isinstance(nodes[node_id], STE)
+        }
     if canon:
         network.merge_nodes({drop: resolve(drop) for drop in canon})
     return merged

@@ -249,12 +249,13 @@ class _BlockProgram:
         # identical symbol sets (all copies of an unfolded run) share a
         # row, so the per-block membership gather happens once per set
         match_rows = np.zeros((max(n, 1), tables.n_classes or 1), dtype=bool)
+        n_bytes = (n + 7) // 8
         for c, mask in enumerate(tables.match_masks):
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                match_rows[low.bit_length() - 1, c] = True
+            bits = np.unpackbits(
+                np.frombuffer(mask.to_bytes(n_bytes, "little"), dtype=np.uint8),
+                bitorder="little",
+            )
+            match_rows[:n, c] = bits[:n]
         row_index: dict[bytes, int] = {}
         self.row_of = [0] * n
         for i in range(n):

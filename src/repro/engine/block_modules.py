@@ -124,6 +124,7 @@ def _try_absorb(
     has_self: list[bool],
     always_eff: list[bool],
     start_flag: list[bool],
+    ste_mod_drivers: dict[int, list[tuple[int, int]]],
 ) -> Optional[int]:
     """The absorbed-loop templates.
 
@@ -166,12 +167,7 @@ def _try_absorb(
     # fired last cycle" -- the closed forms lean on that equivalence.
     if set(preds[s]) != set(plan.pre_stes):
         return None
-    s_mod_drivers = set()
-    for j in range(tables.n_modules):
-        if (tables.out_ste_masks[j] >> s) & 1:
-            s_mod_drivers.add((j, SRC_OUT))
-        if (tables.aux_ste_masks[j] >> s) & 1 and j != m:
-            s_mod_drivers.add((j, SRC_AUX))
+    s_mod_drivers = set(ste_mod_drivers.get(s, ())) - {(m, SRC_AUX)}
     if s_mod_drivers != set(plan.pre_mods):
         return None
     return s
@@ -216,9 +212,20 @@ def analyze(
         plan.pre_mods = md.get(PORT_PRE, ())
         plans.append(plan)
 
+    # module outputs driving each STE, in module order: indexed once
+    # for the templates and the per-STE module predecessors below
+    ste_mod_drivers: dict[int, list[tuple[int, int]]] = {}
+    for m in range(nm):
+        for w in _bits(tables.out_ste_masks[m]):
+            ste_mod_drivers.setdefault(w, []).append((m, SRC_OUT))
+        for w in _bits(tables.aux_ste_masks[m]):
+            ste_mod_drivers.setdefault(w, []).append((m, SRC_AUX))
+
     absorbed_of: dict[int, int] = {}
     for plan in plans:
-        s = _try_absorb(tables, plan, preds, has_self, always_eff, start_flag)
+        s = _try_absorb(
+            tables, plan, preds, has_self, always_eff, start_flag, ste_mod_drivers
+        )
         plan.absorbed = s
         if s is not None:
             if s in absorbed_of:
@@ -304,17 +311,9 @@ def analyze(
         )
 
     mod_preds: list[tuple[tuple[int, int], ...]] = [()] * n
-    acc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for m in range(nm):
-        for w in _bits(tables.out_ste_masks[m]):
-            if w not in absorbed_of:
-                acc[w].append((m, SRC_OUT))
-        for w in _bits(tables.aux_ste_masks[m]):
-            if w not in absorbed_of:
-                acc[w].append((m, SRC_AUX))
-    for w in range(n):
-        if acc[w]:
-            mod_preds[w] = tuple(acc[w])
+    for w, drivers in ste_mod_drivers.items():
+        if w not in absorbed_of:
+            mod_preds[w] = tuple(drivers)
 
     program = ModuleProgram()
     program.plans = plans

@@ -239,15 +239,18 @@ class Network:
         replaced by a start attribute); each bit vector needs a
         ``body`` driver.
         """
+        ports_of: dict[str, set[str]] = {}
+        for conn in self.connections:
+            ports_of.setdefault(conn.target, set()).add(conn.target_port)
         for node in self.nodes.values():
             if isinstance(node, CounterNode):
-                ports = {c.target_port for c in self.incoming(node.id)}
+                ports = ports_of.get(node.id, set())
                 if "fst" not in ports or "lst" not in ports:
                     raise ValueError(f"counter {node.id} missing fst/lst wiring")
                 if "pre" not in ports and node.start is StartType.NONE:
                     raise ValueError(f"counter {node.id} has no pre and no start")
             elif isinstance(node, BitVectorNode):
-                ports = {c.target_port for c in self.incoming(node.id)}
+                ports = ports_of.get(node.id, set())
                 if "body" not in ports:
                     raise ValueError(f"bit vector {node.id} missing body wiring")
                 if "pre" not in ports and node.start is StartType.NONE:

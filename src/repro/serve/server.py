@@ -179,6 +179,7 @@ class _Connection:
             self.server._stats.stream_closed()
         self.sessions.clear()
         self.generations.clear()
+        self.match_counts.clear()
 
     # -- reader: socket -> bounded job queue -------------------------------
     async def _read_frames(self) -> None:
@@ -321,7 +322,7 @@ class _Connection:
             server._stats.stream_closed()
             self._write_line(
                 f"CLOSED {tag} {session.bytes_fed} "
-                f"{self.match_counts[tag]} "
+                f"{self.match_counts.pop(tag, 0)} "
                 f"{self.generations.pop(tag, 0)}\n".encode("latin-1")
             )
         elif verb == "STATS":

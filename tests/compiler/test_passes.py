@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.passes import (
+    _SELF,
     compute_alphabet_classes,
     eliminate_dead_nodes,
     run_passes,
@@ -23,9 +24,12 @@ from repro.matching import RulesetMatcher
 from repro.mnrl.network import Network
 from repro.mnrl.nodes import STE, StartType
 from repro.regex.charclass import CharClass
+from repro.rules import load_rules_text
 from repro.workloads.inputs import plant_matches, stream_for_style
+from repro.workloads.snort_rules import corpus_text
 from repro.workloads.synth import (
     clamav_like,
+    module_heavy,
     protomata_like,
     snort_like,
     spamassassin_like,
@@ -309,3 +313,121 @@ def test_property_rule_subsets_stay_equivalent(subset):
         scan_bytes(rs1.network, probe).reports
         == scan_bytes(rs0.network, probe).reports
     )
+
+
+# ----------------------------------------------------------------------
+# Oracle: the incremental prefix-sharing fixpoint against the original
+# round-based one, which re-keys every STE in every round
+# ----------------------------------------------------------------------
+def _share_prefixes_round_based(network: Network) -> int:
+    """Reference copy of the round-based ``share_prefixes``: rebuild the
+    incoming set of every STE each round, group all survivors by key,
+    and fold each group into its earliest member until nothing merges."""
+    order = {node_id: i for i, node_id in enumerate(network.nodes)}
+    canon: dict[str, str] = {}
+
+    def resolve(node_id: str) -> str:
+        while node_id in canon:
+            node_id = canon[node_id]
+        return node_id
+
+    merged = 0
+    while True:
+        incoming: dict[str, set[tuple[str, str]]] = {}
+        for conn in network.connections:
+            target = resolve(conn.target)
+            if not isinstance(network.nodes[target], STE):
+                continue
+            source = resolve(conn.source)
+            incoming.setdefault(target, set()).add(
+                (_SELF if source == target else source, conn.source_port)
+            )
+        groups: dict[tuple, list[str]] = {}
+        for ste in network.stes():
+            if resolve(ste.id) != ste.id:
+                continue  # already folded away this round
+            key = (
+                ste.symbol_set.mask,
+                ste.start,
+                ste.report,
+                ste.report_id,
+                frozenset(incoming.get(ste.id, frozenset())),
+            )
+            groups.setdefault(key, []).append(ste.id)
+        changed = False
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            members.sort(key=order.__getitem__)
+            keep = members[0]
+            for drop in members[1:]:
+                canon[drop] = keep
+                merged += 1
+            changed = True
+        if not changed:
+            break
+    if canon:
+        network.merge_nodes({drop: resolve(drop) for drop in canon})
+    return merged
+
+
+def _assert_sharing_matches_reference(rules, unfold_threshold: float = 0) -> int:
+    """Run both fixpoints on the network ``run_passes`` hands to prefix
+    sharing (dead nodes already removed); the merge count, node order
+    and connection list must be identical.  Returns the merge count."""
+    network, reference = (
+        compile_ruleset(rules, unfold_threshold=unfold_threshold).network
+        for _ in range(2)
+    )
+    eliminate_dead_nodes(network)
+    eliminate_dead_nodes(reference)
+    merged = share_prefixes(network)
+    assert merged == _share_prefixes_round_based(reference)
+    assert list(network.nodes) == list(reference.nodes)
+    assert network.connections == reference.connections
+    network.validate()
+    return merged
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [snort_like, suricata_like, protomata_like, spamassassin_like, clamav_like, module_heavy],
+)
+def test_incremental_sharing_equals_round_based_on_suites(factory):
+    assert _assert_sharing_matches_reference(factory().patterns()) > 0
+
+
+@pytest.mark.parametrize("factory", [lambda: snort_like(total=40), module_heavy])
+def test_incremental_sharing_equals_round_based_unfolded(factory):
+    _assert_sharing_matches_reference(factory().patterns(), float("inf"))
+
+
+def test_incremental_sharing_equals_round_based_on_snort_corpus():
+    rules = load_rules_text(corpus_text()).rules
+    assert len(rules) == 1800
+    assert _assert_sharing_matches_reference(rules) == 10492
+
+
+_PIECES = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@st.composite
+def _sharing_rule(draw):
+    """One rule of a shape prefix sharing rewrites: an ``x+`` self-loop,
+    a shared-prefix alternation, or a bounded ``{n,m}`` repetition."""
+    head, tail = draw(_PIECES), draw(_PIECES)
+    shape = draw(st.sampled_from(["loop", "alt", "bound"]))
+    if shape == "loop":
+        return f"{head}{draw(st.sampled_from('abc'))}+{tail}"
+    if shape == "alt":
+        return f"{head}({draw(_PIECES)}|{draw(_PIECES)}){tail}"
+    lo = draw(st.integers(min_value=0, max_value=3))
+    hi = draw(st.integers(min_value=max(lo, 1), max_value=6))
+    return f"{head}[{draw(st.sampled_from(['ab', '^a', 'abc']))}]{{{lo},{hi}}}{tail}"
+
+
+@given(patterns=st.lists(_sharing_rule(), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_property_incremental_sharing_equals_round_based(patterns):
+    rules = [(f"r{i}", pattern) for i, pattern in enumerate(patterns)]
+    _assert_sharing_matches_reference(rules)

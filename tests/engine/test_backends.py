@@ -28,7 +28,10 @@ from repro.engine.scanner import StreamScanner
 from repro.engine.tables import compile_tables
 from repro.hardware.simulator import NetworkSimulator
 from repro.matching import RulesetMatcher
+from repro.mnrl.network import Network
+from repro.rules import load_rules_text
 from repro.workloads.inputs import plant_matches, stream_for_style
+from repro.workloads.snort_rules import corpus_text
 from repro.workloads.synth import (
     clamav_like,
     protomata_like,
@@ -398,6 +401,55 @@ class TestBlockScannerEquivalence:
     def test_program_shared_across_scanners(self):
         tables = _tables("abc")
         assert BlockScanner(tables)._program is BlockScanner(tables)._program
+
+
+def _class_rows_bit_by_bit(tables):
+    """Reference lowering of the class-row matrix: peel each class
+    mask one set bit at a time, then share rows between STEs with
+    identical symbol sets (first occurrence numbers the row)."""
+    np = block_engine.numpy_or_none()
+    n = tables.n_stes
+    match_rows = np.zeros((max(n, 1), tables.n_classes or 1), dtype=bool)
+    for c, mask in enumerate(tables.match_masks):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            match_rows[low.bit_length() - 1, c] = True
+    row_index: dict[bytes, int] = {}
+    row_of = [row_index.setdefault(match_rows[i].tobytes(), len(row_index)) for i in range(n)]
+    uniq_rows = np.zeros((max(len(row_index), 1), tables.n_classes or 1), dtype=bool)
+    for i in range(n):
+        uniq_rows[row_of[i]] = match_rows[i]
+    return row_of, uniq_rows
+
+
+@needs_numpy
+class TestBlockProgramClassRows:
+    """The per-class membership rows decode the match masks exactly."""
+
+    def _assert_rows_match(self, tables):
+        program = block_engine._BlockProgram(tables)
+        row_of, uniq_rows = _class_rows_bit_by_bit(tables)
+        assert program.row_of == row_of
+        assert program.uniq_rows.shape == uniq_rows.shape
+        assert (program.uniq_rows == uniq_rows).all()
+
+    @pytest.mark.parametrize(
+        "pattern", [r"abcdefghij", r"[a-f]x{2,4}[^q]", r"a", r"(ab|cd)+e.{3,5}z"]
+    )
+    def test_partial_last_byte(self, pattern):
+        tables = _tables(pattern)
+        assert tables.n_stes % 8 != 0
+        self._assert_rows_match(tables)
+
+    def test_empty_tables(self):
+        self._assert_rows_match(compile_tables(Network("empty")))
+
+    def test_snort_corpus_tables(self):
+        matcher, _ = load_rules_text(corpus_text()).compile(opt_level=1)
+        tables = matcher.tables
+        assert tables.n_stes == 10727
+        self._assert_rows_match(tables)
 
 
 class TestFacadeEngineSelection:

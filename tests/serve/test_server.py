@@ -377,6 +377,43 @@ class TestShutdownAndErrors:
         # the third incarnation's summary starts from zero on both axes
         assert (third.bytes_scanned, third.matches_emitted) == (1, 0)
 
+    def test_closed_streams_leave_no_per_stream_state(self):
+        """Many short streams on one long-lived connection: CLOSE must
+        drop every per-stream entry, and each CLOSED summary still
+        counts exactly that stream's matches."""
+        matcher = RulesetMatcher(RULES)
+        cycles = 200
+
+        async def main():
+            async with MatchServer(matcher, port=0) as server:
+                client = await MatchClient.connect(port=server.port)
+                summaries = {}
+                for i in range(cycles):
+                    tag = f"flow{i}"
+                    await client.open(tag)
+                    for chunk in traffic_for(i):
+                        await client.feed(tag, chunk)
+                    summaries[tag] = await client.close_stream(tag)
+                await client.ping()
+                (conn,) = server._connections
+                # copies: the connection clears its own maps on QUIT
+                state = tuple(
+                    dict(d) for d in (conn.sessions, conn.generations, conn.match_counts)
+                )
+                await client.quit()
+                return served_events(client), summaries, state
+
+        served, summaries, (sessions, generations, match_counts) = run(main())
+        assert sessions == generations == match_counts == {}
+        pairs = [
+            (f"flow{i}", chunk) for i in range(cycles) for chunk in traffic_for(i)
+        ]
+        offline = offline_events(matcher, pairs)
+        assert served == offline
+        assert sum(map(len, offline.values())) > 0
+        for tag, summary in summaries.items():
+            assert summary.matches_emitted == len(offline[tag])
+
     def test_stats_snapshot_counters(self):
         matcher = RulesetMatcher(RULES)
 
