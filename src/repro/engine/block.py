@@ -45,13 +45,14 @@ Module activity runs *inside* the sweep whenever the combined
 STE+module dependency graph is acyclic after
 :mod:`repro.engine.block_modules` collapses the emitted one-STE
 feedback loops (``en_fst`` re-arming a counter body, ``en_body``
-holding a bit-vector body STE) into closed-form nodes: counter
-registers become prefix sums over ``fst`` lanes, bit-vector shift
-registers become windowed existence queries over entry lanes, and the
-carried scalar state (registers, latched ``pre``, dirty set) is
-written back at every block boundary.  Such blocks always commit --
-no rescans -- and reports/stats stay exactly equal to the
-interpreter's.
+holding a bit-vector body STE) into closed-form nodes: each token
+entry lives on one interval of the block, module outputs are unions of
+those intervals, free-standing counter registers are prefix sums over
+``fst`` lanes, and the carried scalar state (registers, latched
+``pre``, dirty set) is written back at every block boundary.  Only
+awake modules (dirty, an input lane fired, or an enabled absorbed
+body STE) are evaluated.  Such blocks always commit -- no rescans -- and
+reports/stats stay exactly equal to the interpreter's.
 
 Tables whose module wiring genuinely cycles (nested counting,
 multi-STE counter bodies) fall back to the *optimistic* strategy:
@@ -82,7 +83,7 @@ from typing import Optional
 from ..mnrl.network import Network
 from . import block_modules
 from .scanner import Chunk, StreamScanner, coerce_chunk
-from .tables import KIND_BIT_VECTOR, SRC_OUT, TransitionTables, compile_tables
+from .tables import SRC_OUT, TransitionTables, compile_tables
 
 try:  # NumPy is optional: the registry degrades gracefully without it
     import numpy as _np
@@ -158,6 +159,7 @@ class _BlockProgram:
         "mod_plans",
         "steps",
         "mod_preds",
+        "wakes",
     )
 
     def __init__(self, tables: TransitionTables):
@@ -220,12 +222,8 @@ class _BlockProgram:
 
         # In-sweep module execution: collapse emitted feedback loops
         # and demand a combined acyclic order (see block_modules).
-        if tables.n_modules == 0:
-            self.full_ok = self.vector_ok
-            self.mod_plans = None
-            self.steps = None
-            self.mod_preds = None
-        else:
+        mod_program = None
+        if tables.n_modules:
             mod_program = block_modules.analyze(
                 tables,
                 preds,
@@ -234,16 +232,15 @@ class _BlockProgram:
                 self.always_eff_flag,
                 self.start_flag,
             )
-            if mod_program is None:
-                self.full_ok = False
-                self.mod_plans = None
-                self.steps = None
-                self.mod_preds = None
-            else:
-                self.full_ok = True
-                self.mod_plans = mod_program.plans
-                self.steps = mod_program.steps
-                self.mod_preds = mod_program.mod_preds
+        if mod_program is None:
+            self.full_ok = self.vector_ok and tables.n_modules == 0
+            self.mod_plans = self.steps = self.mod_preds = self.wakes = None
+        else:
+            self.full_ok = True
+            self.mod_plans = mod_program.plans
+            self.steps = mod_program.steps
+            self.mod_preds = mod_program.mod_preds
+            self.wakes = mod_program.wakes
 
         # one bool row of n_classes per distinct symbol set; STEs with
         # identical symbol sets (all copies of an unfolded run) share a
@@ -264,7 +261,8 @@ class _BlockProgram:
         self.uniq_rows = np.zeros((max(len(row_index), 1), tables.n_classes or 1), dtype=bool)
         for i in range(n):
             self.uniq_rows[self.row_of[i]] = match_rows[i]
-        self.byte_class_arr = np.frombuffer(tables.byte_class, dtype=np.uint8)
+        # intp, so every membership gather indexes without a conversion
+        self.byte_class_arr = np.frombuffer(tables.byte_class, dtype=np.uint8).astype(np.intp)
 
 
 def _mask_flags(mask: int, n: int) -> list[bool]:
@@ -601,12 +599,11 @@ class BlockScanner:
         stats.ste_activations += activations
         stats.reports += events
         if found:
-            reports = scalar.reports
+            record = scalar.reports.record
             # by position only: report ids may mix None with str
             found.sort(key=lambda pair: pair[0])
             for pair in found:
-                if pair not in reports:
-                    reports.add(pair)
+                if record(*pair):
                     new.append(pair)
         self._fruitless = 0
         self._committed += 1
@@ -628,7 +625,7 @@ class BlockScanner:
 
         cls = program.byte_class_arr[arr]
         preds = program.preds
-        succ_lists = program.succ_lists
+        wakes = program.wakes
         succ_masks = tables.succ_masks
         has_self = program.has_self
         always_flag = program.always_flag
@@ -645,11 +642,15 @@ class BlockScanner:
         at_start = cycle == 0
         base = cycle + 1
 
+        # needed[v] for STE v, needed[n + m] for module m.  Like the
+        # interpreter, a module runs only when dirty or signalled (an
+        # input lane fires this block); an absorbed one also when its
+        # body STE carries an enable bit.  The rest stay at rest.
         n = tables.n_stes
         occ: list = [None] * n
         mod_out: list = [None] * tables.n_modules
         mod_aux: list = [None] * tables.n_modules
-        needed = bytearray(n)
+        needed = bytearray(n + tables.n_modules)
         for v in program.always_eff_list:
             needed[v] = 1
         if at_start:
@@ -660,6 +661,8 @@ class BlockScanner:
             low = mask & -mask
             mask ^= low
             needed[low.bit_length() - 1] = 1
+        for m in scalar._dirty:
+            needed[n + m] = 1
 
         memb_cache: dict = {}
 
@@ -732,18 +735,22 @@ class BlockScanner:
                         found.append((base + position, rid))
                 if lane[-1]:
                     last_mask |= succ_masks[v]
-                for w in succ_lists[v]:
+                for w in wakes[v]:
                     needed[w] = 1
             else:
                 plan = plans[index]
                 s = plan.absorbed
-                if s is not None:
-                    memb = memb_for(s)
-                    enabled_bit = bool((enabled >> s) & 1)
-                else:
+                if s is None:
+                    if not needed[n + index]:
+                        continue
                     memb = None
                     enabled_bit = False
-                s_occ, out_lane, aux_lane, pre_last = block_modules.eval_module(
+                else:
+                    if not (needed[n + index] or needed[s]):
+                        continue
+                    memb = memb_for(s)
+                    enabled_bit = bool((enabled >> s) & 1)
+                s_occ, out_lane, aux_lane, arm_aux = block_modules.eval_module(
                     np,
                     plan,
                     blen,
@@ -767,7 +774,7 @@ class BlockScanner:
                                 found.append((base + position, rid))
                         if s_occ[-1]:
                             last_mask |= succ_masks[s]
-                        for w in succ_lists[s]:
+                        for w in wakes[s]:
                             needed[w] = 1
                 if out_lane is not None:
                     mod_out[index] = out_lane
@@ -783,13 +790,9 @@ class BlockScanner:
                         needed[w] = 1
                 if aux_lane is not None:
                     mod_aux[index] = aux_lane
-                    if aux_lane[-1]:
-                        last_mask |= aux_ste_masks[index]
                     for w in plan.aux_targets:
                         needed[w] = 1
-                # the interpreter's pre-latch loop enables a bit
-                # vector's body STE for the cycle after any pre pulse
-                if pre_last and plan.kind == KIND_BIT_VECTOR:
+                if arm_aux:
                     last_mask |= aux_ste_masks[index]
 
         scalar._enabled = last_mask
@@ -802,9 +805,8 @@ class BlockScanner:
         stats.bit_vector_weighted_ops += acc[2]
         stats.reports += events
         if found:
-            reports = scalar.reports
+            record = scalar.reports.record
             found.sort(key=lambda pair: pair[0])
             for pair in found:
-                if pair not in reports:
-                    reports.add(pair)
+                if record(*pair):
                     new.append(pair)

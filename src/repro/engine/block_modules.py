@@ -8,21 +8,23 @@ recurrences have *closed forms over a block* once the module's input
 signals are available as boolean lanes, which is exactly what the
 block sweep computes for every STE anyway:
 
-* **counter** -- ``count[t]`` follows ``fst`` pulses by prefix sums:
-  with ``C = cumsum(fst)`` and ``r[t]`` the latest reset position
-  (a ``fst`` pulse arriving with a latched ``pre``),
-  ``count[t] = C[t] - C[r[t]] + 1`` after a reset and
-  ``carry + C[t]`` before any; ``en_out``/``en_fst`` are then pure
-  elementwise tests against ``[lo, hi]`` on ``lst`` cycles.
-* **bit vector** -- a token entered at position ``e`` (a ``body``
-  signal with latched ``pre``) holds value ``t - e + 1`` at ``t`` and
-  survives exactly while the ``body`` signal run beginning at or
-  before ``e`` is unbroken.  Every observable is therefore a windowed
-  existence query over the *entry* lane -- ``en_out[t]`` asks for an
-  entry in ``[max(t-hi+1, run_start[t]), t-lo+1]`` -- answered with
-  one cumulative sum and two gathers.  Carried shift-register bits
-  from the previous block become virtual entries at negative
-  positions on a ``hi``-wide extension of the lane.
+* **absorbed modules** (a counter or bit vector fused with its single
+  body STE, below) -- a token enters at ``e`` where a body signal
+  meets the ``pre`` latched one cycle earlier, holds value
+  ``t - e + 1`` and lives on ``[e, min(e+hi-1, next body break) - 1]``;
+  a counter's token is also cut at the next entry, which resets the
+  register.  Occupancy, ``en_out`` (``[e+lo-1, end]``) and the
+  auxiliary output (``[e, min(end, e+hi-2)]``) are unions of those
+  intervals: one sorted merge over the entries, one fill of the lane.
+  Carried registers from the previous block are tokens entered at
+  negative positions, so no lane is extended by ``hi``.  Free-standing
+  bit vectors take the same form over their gathered body lane.
+* **free-standing counter** -- ``count[t]`` follows ``fst`` pulses by
+  prefix sums: with ``C = cumsum(fst)`` and ``r[t]`` the latest reset
+  position (a ``fst`` pulse arriving with a latched ``pre``),
+  ``count[t] = C[t] - C[r[t]] + 1`` after a reset and ``carry + C[t]``
+  before any; ``en_out``/``en_fst`` are then elementwise tests against
+  ``[lo, hi]`` on ``lst`` cycles.
 
 The catch is wiring: emitted module fragments always close a one-STE
 feedback loop (``en_fst`` re-arms the counter body, ``en_body`` holds
@@ -60,13 +62,7 @@ from .tables import (
     module_wiring,
 )
 
-__all__ = ["ModulePlan", "ModuleProgram", "analyze", "eval_module", "MAX_VECTOR_SPAN"]
-
-#: Largest module span (``hi``) the lane evaluator will build a
-#: carry-window extension for.  Spans beyond this are absurd for real
-#: rulesets (the hardware bit vector is a few hundred bits); reject
-#: them instead of allocating giant per-block scratch arrays.
-MAX_VECTOR_SPAN = 1 << 16
+__all__ = ["ModulePlan", "ModuleProgram", "analyze", "eval_module"]
 
 
 class ModulePlan:
@@ -102,10 +98,12 @@ class ModuleProgram:
     entries in dependency order; ``absorbed_of`` maps each body STE
     folded into a module's closed form to that module; ``mod_preds``
     lists, per non-absorbed STE, the ``(module, SRC_*)`` outputs that
-    enable it (the next-cycle analogue of ``succ_masks``).
+    enable it (the next-cycle analogue of ``succ_masks``); ``wakes``
+    lists, per STE, the nodes (successor STE ``w`` or module ``n + m``)
+    its occupancy lane drives.
     """
 
-    __slots__ = ("plans", "steps", "absorbed_of", "mod_preds")
+    __slots__ = ("plans", "steps", "absorbed_of", "mod_preds", "wakes")
 
 
 def _bits(mask: int) -> list[int]:
@@ -194,7 +192,7 @@ def analyze(
         plan.kind = tables.module_kinds[m]
         plan.lo = tables.module_lo[m]
         plan.hi = tables.module_hi[m]
-        if plan.lo < 1 or plan.hi < plan.lo or plan.hi > MAX_VECTOR_SPAN:
+        if plan.lo < 1 or plan.hi < plan.lo:
             return None
         plan.all_input = tables.module_all_input[m]
         plan.weight = tables.bv_weights[m]
@@ -297,18 +295,23 @@ def analyze(
     if len(order) != n_present:
         return None  # genuine cycle: nested counting / odd wiring
 
-    # Targets each module must wake downstream (pruning seeds); the
-    # absorbed STE's own successors are handled through occ[s].
+    # Nodes each lane must wake downstream (pruning seeds): STE w is
+    # node w, module m is node n + m.  The absorbed STE's own
+    # successors are woken through its occupancy lane.
     for plan in plans:
         m = plan.index
         plan.out_targets = tuple(
             w for w in _bits(tables.out_ste_masks[m]) if not always_eff[w]
-        )
+        ) + _module_nodes(n, tables.out_module_hooks[m])
         plan.aux_targets = tuple(
             w
             for w in _bits(tables.aux_ste_masks[m])
             if not always_eff[w] and w != plan.absorbed
-        )
+        ) + _module_nodes(n, tables.aux_module_hooks[m])
+    wakes = [
+        tuple(succ_lists[u]) + _module_nodes(n, tables.ste_module_hooks[u])
+        for u in range(n)
+    ]
 
     mod_preds: list[tuple[tuple[int, int], ...]] = [()] * n
     for w, drivers in ste_mod_drivers.items():
@@ -322,7 +325,15 @@ def analyze(
     ]
     program.absorbed_of = absorbed_of
     program.mod_preds = mod_preds
+    program.wakes = wakes
     return program
+
+
+def _module_nodes(n: int, hooks) -> tuple[int, ...]:
+    """Graph nodes of the modules a lane signals through ``hooks``."""
+    if hooks is None:
+        return ()
+    return tuple(sorted({n + m for m, _port in hooks}))
 
 
 # -- per-block lane evaluation ---------------------------------------------
@@ -359,59 +370,63 @@ def _gather(np, stes, mods, occ, mod_out, mod_aux):
     return lane
 
 
-def _settle(scalar, m: int, all_input: bool, pre_last: bool) -> None:
-    """Block-boundary `pre`/dirty write-back shared by every path.
-
-    The interpreter's latched ``pre`` lives exactly one cycle, so after
-    a block only the last position's pulse (or ALL_INPUT re-arming)
-    survives; a non-resting latch is what keeps a module on the
-    interpreter's dirty list."""
-    pre = all_input or pre_last
-    scalar._pre[m] = pre
-    if pre and not all_input:
-        scalar._dirty.add(m)
-    else:
-        scalar._dirty.discard(m)
-
-
 def _nonzero_or_none(np, lane):
     if lane is not None and not lane.any():
         return None
     return lane
 
 
+#: what an evaluator returns for a module that stays silent all block
+_SILENT = (None, None, None, False)
+
+
 def eval_module(np, plan, blen, occ, mod_out, mod_aux, memb, enabled_bit, scalar, acc):
     """Evaluate one module over a block.
 
-    Returns ``(s_occ, out_lane, aux_lane, pre_last)``: the absorbed
+    Returns ``(s_occ, out_lane, aux_lane, arm_aux)``: the absorbed
     body STE's occupancy (``None`` for free-standing modules or when it
     never fires), the ``en_out`` / auxiliary output lanes (``None``
-    when silent), and whether ``pre`` was pulsed on the block's last
-    position.  Stats deltas go into ``acc = [counter_ops, bv_ops,
+    when silent; always ``None`` for the auxiliary output of an
+    absorbed module, whose only reader is its own body STE), and
+    whether the module's auxiliary STE targets are enabled for the
+    next block.  Stats deltas go into ``acc = [counter_ops, bv_ops,
     bv_weighted]``; module registers / dirty bookkeeping are written
     back to ``scalar`` directly.
     """
     m = plan.index
     prep = _gather(np, plan.pre_stes, plan.pre_mods, occ, mod_out, mod_aux)
-    pre_last = prep is not None and bool(prep[-1])
     pre0 = scalar._pre[m]
 
     if plan.kind == KIND_COUNTER:
         if plan.absorbed is not None:
-            return _eval_counter_absorbed(
-                np, plan, blen, memb, prep, pre0, enabled_bit, scalar, acc, pre_last
+            result = _eval_counter_absorbed(
+                np, plan, blen, memb, prep, pre0, enabled_bit, scalar, acc
             )
-        return _eval_counter_free(
-            np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc, pre_last
-        )
-    if plan.absorbed is not None:
-        return _eval_bv(
-            np, plan, blen, memb, prep, pre0, scalar, acc, pre_last, absorbed=True
-        )
-    body = _gather(np, plan.body_stes, plan.body_mods, occ, mod_out, mod_aux)
-    return _eval_bv(
-        np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed=False
-    )
+        else:
+            result = _eval_counter_free(
+                np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc
+            )
+    elif plan.absorbed is not None:
+        result = _eval_bv(np, plan, blen, memb, prep, pre0, scalar, acc, absorbed=True)
+    else:
+        body = _gather(np, plan.body_stes, plan.body_mods, occ, mod_out, mod_aux)
+        result = _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, absorbed=False)
+
+    # The interpreter's latched ``pre`` lives exactly one cycle, so
+    # after a block only the last position's pulse (or ALL_INPUT
+    # re-arming) survives; a non-resting latch or a live shift register
+    # keeps a module on the interpreter's dirty list.
+    pre_last = prep is not None and bool(prep[-1])
+    pre = plan.all_input or pre_last
+    scalar._pre[m] = pre
+    if (pre and not plan.all_input) or scalar._bv[m]:
+        scalar._dirty.add(m)
+    else:
+        scalar._dirty.discard(m)
+    s_occ, out, aux, aux_last = result
+    # the interpreter's pre-latch loop also enables a bit vector's body
+    # STE for the cycle after any pre pulse
+    return s_occ, out, aux, aux_last or (pre_last and plan.kind == KIND_BIT_VECTOR)
 
 
 def _pre_lane(np, blen, prep, pre0):
@@ -424,9 +439,7 @@ def _pre_lane(np, blen, prep, pre0):
     return lane
 
 
-def _eval_counter_free(
-    np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc, pre_last
-):
+def _eval_counter_free(np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc):
     """Free-standing counter: inputs are ordinary lanes, the register
     follows ``fst`` pulses by prefix sums with reset-wins gathers."""
     m = plan.index
@@ -434,8 +447,7 @@ def _eval_counter_free(
     lst = _gather(np, plan.lst_stes, plan.lst_mods, occ, mod_out, mod_aux)
     c_in = scalar._counts[m]
     if fst is None and lst is None:
-        _settle(scalar, m, plan.all_input, pre_last)
-        return None, None, None, pre_last
+        return _SILENT
 
     if fst is None:
         # register untouched: `lst` only reads it
@@ -462,74 +474,111 @@ def _eval_counter_free(
             out = lst & (count >= plan.lo) & (count <= plan.hi)
             aux = lst & (count < plan.hi)
             acc[0] += int(np.count_nonzero(fst | lst))
-    _settle(scalar, m, plan.all_input, pre_last)
-    return None, _nonzero_or_none(np, out), _nonzero_or_none(np, aux), pre_last
+    aux = _nonzero_or_none(np, aux)
+    return None, _nonzero_or_none(np, out), aux, aux is not None and bool(aux[-1])
 
 
-def _eval_counter_absorbed(
-    np, plan, blen, memb, prep, pre0, enabled_bit, scalar, acc, pre_last
-):
+# -- interval closed forms for absorbed counters and bit vectors -----------
+
+
+def _entries(np, body, prep, pre0, all_input):
+    """Ascending positions where a token enters: a body signal meeting
+    the `pre` latched one cycle earlier (every body signal when the
+    module is ALL_INPUT)."""
+    if all_input:
+        return np.flatnonzero(body)
+    if prep is None:
+        ent = np.empty(0, dtype=np.intp)
+    else:
+        ent = np.flatnonzero(prep[:-1]) + 1
+        ent = ent[body[ent]]
+    if pre0 and body[0]:
+        ent = np.concatenate(([0], ent))
+    return ent
+
+
+def _token_ends(np, body, ent, hi):
+    """Each token's interval: entered at ``ent``, it lives from
+    ``max(ent, 0)`` for ``hi`` cycles of age, cut short by the first
+    body break at or after that position.  Returns ``(starts, ends)``,
+    both ascending; ``ends < starts`` marks a carried token that dies at
+    the block's first position."""
+    starts = np.maximum(ent, 0)
+    breaks = np.flatnonzero(~body)
+    next_break = np.append(breaks, len(body))[np.searchsorted(breaks, starts)]
+    ends = np.minimum(ent + (hi - 1), next_break - 1)
+    return starts, ends
+
+
+def _lane(np, blen, starts, ends):
+    """The boolean lane covering the inclusive intervals ``[starts[i],
+    ends[i]]``, whose starts and ends both ascend (empty ones allowed),
+    or ``None`` when it covers nothing.
+
+    Clipping each interval to begin after its predecessor's end makes
+    them disjoint without changing their union, so one ``np.repeat`` of
+    alternating gap/run values fills the lane."""
+    k = len(starts)
+    bounds = np.empty(2 * k + 2, dtype=np.intp)
+    opens = bounds[1:-1:2]
+    opens[:] = starts
+    np.maximum(opens[1:], ends[:-1] + 1, out=opens[1:])
+    np.minimum(opens, blen, out=opens)
+    np.maximum(ends + 1, opens, out=bounds[2:-1:2])
+    bounds[0] = 0
+    bounds[-1] = blen
+    lengths = np.diff(bounds)
+    if not lengths[1::2].any():
+        return None
+    values = np.zeros(2 * k + 1, dtype=bool)
+    values[1::2] = True
+    return np.repeat(values, lengths)
+
+
+def _eval_counter_absorbed(np, plan, blen, memb, prep, pre0, enabled_bit, scalar, acc):
     """Counter fused with its single body STE ``s``.
 
-    ``s`` holds (and the counter counts) exactly while the latest entry
-    -- a `pre` pulse landing on a membership run -- is at most ``hi-1``
-    positions back within that run; its register is the entry's age.
-    The carried register becomes a virtual entry at a negative position
-    on a ``hi``-wide lane extension, gated on ``s``'s carried enable
-    bit (a carried enable implies ``count < hi``: it came from
-    ``en_fst``, which fires only below ``hi``).
+    Every entry -- a `pre` pulse landing on ``s``'s membership -- resets
+    the register to 1; ``s`` then holds, with the entry's age as its
+    register, on ``[e, min(e+hi-1, next break - 1, next entry - 1)]``.
+    The carried register is an entry at ``-count``, gated on ``s``'s
+    carried enable bit (a carried enable implies ``count < hi``: it came
+    from ``en_fst``, which fires only below ``hi``).
     """
     m = plan.index
     hi = plan.hi
-    c_in = scalar._counts[m]
     if prep is None and not pre0 and not enabled_bit:
-        _settle(scalar, m, False, pre_last)
-        return None, None, None, pre_last
+        return _SILENT
 
-    pre = _pre_lane(np, blen, prep, pre0)
-    ent = memb & pre
-    if not ent.any() and not (enabled_bit and not pre0 and memb[0]):
-        _settle(scalar, m, False, pre_last)
-        return None, None, None, pre_last
-
-    W = hi
-    exlen = W + blen
-    ente = np.zeros(exlen, dtype=bool)
-    ente[W:] = ent
+    ent = _entries(np, memb, prep, pre0, False)
     if enabled_bit and not pre0:
-        ente[W - min(c_in, W)] = True
-    membe = np.ones(exlen, dtype=bool)
-    membe[W:] = memb
-    idxe = np.arange(-W, blen)
-    rs = np.maximum.accumulate(np.where(membe, -W, idxe + 1))
-    le = np.maximum.accumulate(np.where(ente, idxe, -W - 1))
-    t = idxe[W:]
-    le_in = le[W:]
-    window_lo = np.maximum(t - (hi - 1), rs[W:])
-    s_occ = memb & (le_in >= window_lo)
-    if not s_occ.any():
-        _settle(scalar, m, False, pre_last)
-        return None, None, None, pre_last
+        ent = np.concatenate(([-scalar._counts[m]], ent))
+    starts, ends = _token_ends(np, memb, ent, hi)
+    # the next entry resets the register
+    np.minimum(ends[:-1], ent[1:] - 1, out=ends[:-1])
+    held = _lane(np, blen, starts, ends)
+    if held is None:
+        return _SILENT
 
-    count = t - le_in + 1
-    out = s_occ & (count >= plan.lo)
-    aux = s_occ & (count < hi)
-    acc[0] += int(np.count_nonzero(s_occ))  # fst and lst pulse together
-    last_active = blen - 1 - int(np.argmax(s_occ[::-1]))
-    scalar._counts[m] = int(count[last_active])
-    _settle(scalar, m, False, pre_last)
-    return s_occ, _nonzero_or_none(np, out), _nonzero_or_none(np, aux), pre_last
+    acc[0] += int(np.count_nonzero(held))  # fst and lst pulse together
+    # only a carried entry can be empty, and it comes first; only the
+    # last entry can still hold at the block's last position
+    age = int(ends[-1] - ent[-1] + 1)
+    scalar._counts[m] = age
+    out = _lane(np, blen, np.maximum(ent + (plan.lo - 1), 0), ends)
+    return held, out, None, bool(ends[-1] == blen - 1 and age < hi)
 
 
-def _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed):
+def _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, absorbed):
     """Bit vector, fused or free-standing.
 
     ``body`` is the body-signal lane: the absorbed body STE's symbol
-    membership (its occupancy *is* the token-aliveness lane the window
-    query computes), or the gathered body-port drivers.  Tokens are the
-    entry lane; every output is a windowed existence query answered via
-    one cumulative sum; carried shift-register bits are virtual entries
-    on the ``hi``-wide lane extension.
+    membership (its occupancy *is* the token-aliveness lane), or the
+    gathered body-port drivers.  A token entered at ``e`` holds value
+    ``t - e + 1`` on ``[e, min(e+hi-1, next body break - 1)]``; the
+    aliveness, ``en_out`` (``[e+lo-1, end]``) and auxiliary
+    (``[e, min(end, e+hi-2)]``) lanes are unions of those intervals.
+    Carried shift-register bits are tokens entered at negative ``e``.
     """
     m = plan.index
     hi = plan.hi
@@ -541,17 +590,12 @@ def _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed):
             acc[1] += 1
             acc[2] += plan.weight
             scalar._bv[m] = 0
-        _settle(scalar, m, plan.all_input, pre_last)
-        return None, None, None, pre_last
+        return _SILENT
     if absorbed and v_in == 0 and prep is None and not pre0:
-        _settle(scalar, m, False, pre_last)
-        return None, None, None, pre_last
+        return _SILENT
 
-    if plan.all_input:
-        ent = body
-    else:
-        ent = body & _pre_lane(np, blen, prep, pre0)
-    if v_in == 0 and not ent.any():
+    ent = _entries(np, body, prep, pre0, plan.all_input)
+    if v_in == 0 and not len(ent):
         if not absorbed:
             # body pulses but nothing ever enters: each pulse is still
             # a (shift-of-zero) op in the interpreter's accounting
@@ -560,62 +604,45 @@ def _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, pre_last, absorbed):
             acc[2] += plan.weight * pulses
         # absorbed: the body STE only runs while a token holds it, so
         # with no tokens there are no body signals (and no ops) at all
-        scalar._bv[m] = 0
-        _settle(scalar, m, plan.all_input, pre_last)
-        return None, None, None, pre_last
+        return _SILENT
 
-    W = hi
-    exlen = W + blen
-    ente = np.zeros(exlen, dtype=bool)
-    ente[W:] = ent
-    value = v_in
-    while value:
-        low = value & -value
-        value ^= low
-        j = low.bit_length() - 1  # value j+1 => entered j+1 cycles ago
-        if j < W:
-            ente[W - 1 - j] = True
-    bodye = np.ones(exlen, dtype=bool)
-    bodye[W:] = body
-    idxe = np.arange(-W, blen)
-    rs = np.maximum.accumulate(np.where(bodye, -W, idxe + 1))
-    cum = np.empty(exlen + 1, dtype=np.int64)
-    cum[0] = 0
-    cum[1:] = np.cumsum(ente)
-    t = idxe[W:]
-    rs_in = rs[W:]
-    window_lo = np.maximum(t - (hi - 1), rs_in) + W  # array position of A
-    base = cum[window_lo]
-    nz = body & (cum[t + W + 1] - base > 0)
-    out = body & (cum[t - plan.lo + 1 + W + 1] - base > 0)
-    if hi > 1:
-        aux_lo = np.maximum(t - (hi - 2), rs_in) + W
-        aux = body & (cum[t + W + 1] - cum[aux_lo] > 0)
-    else:
-        aux = None
+    if v_in:
+        # bit j of the register: a token of age j+1 one cycle ago
+        ages = np.flatnonzero(
+            np.unpackbits(
+                np.frombuffer(v_in.to_bytes((hi + 7) // 8, "little"), dtype=np.uint8),
+                bitorder="little",
+            )
+        )
+        ent = np.concatenate((-1 - ages[::-1], ent))
+    starts, ends = _token_ends(np, body, ent, hi)
+    live = _lane(np, blen, starts, ends)
 
     # one op per body signal or per carried-value decay step (for the
     # absorbed form the body STE's activity *is* the aliveness lane)
-    prev_nz = np.empty(blen, dtype=bool)
-    prev_nz[0] = v_in != 0
-    prev_nz[1:] = nz[:-1]
-    signals = nz if absorbed else body
-    ops = int(np.count_nonzero(signals | prev_nz))
+    signals = live if absorbed else body
+    ops = int(v_in != 0 and (signals is None or not signals[0]))
+    if signals is not None:
+        ops += int(np.count_nonzero(signals))
+    if live is not None:
+        ops += int(np.count_nonzero(live[:-1] > signals[1:]))
     acc[1] += ops
     acc[2] += plan.weight * ops
 
     T = blen - 1
-    if nz[T]:
-        a = int(window_lo[T])  # array position of the oldest live slot
-        seg = ente[a : T + W + 1]
-        v_out = 0
-        for k in np.flatnonzero(seg).tolist():
-            v_out |= 1 << (T + W - a - k)  # bit = token age at T
-        scalar._bv[m] = v_out
+    alive = ent[ends == T]
+    if len(alive):
+        bits = np.zeros(hi, dtype=bool)
+        bits[T - alive] = True  # bit = token age at T, minus one
+        scalar._bv[m] = int.from_bytes(
+            np.packbits(bits, bitorder="little").tobytes(), "little"
+        )
     else:
         scalar._bv[m] = 0
-    _settle(scalar, m, plan.all_input, pre_last)
-    if scalar._bv[m]:
-        scalar._dirty.add(m)
-    s_occ = nz if absorbed else None
-    return s_occ, _nonzero_or_none(np, out), _nonzero_or_none(np, aux), pre_last
+    out = _lane(np, blen, np.maximum(ent + (plan.lo - 1), 0), ends)
+    # the youngest live token is below age hi
+    aux_last = bool(len(alive) and T - alive[-1] + 1 < hi)
+    if absorbed:
+        return live, out, None, aux_last
+    aux = _lane(np, blen, starts, np.minimum(ends, ent + (hi - 2)))
+    return None, out, aux, aux_last

@@ -32,13 +32,16 @@ through :class:`repro.session.MatchSession` (via
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from array import array
+from bisect import bisect_left
+from collections.abc import Set
+from typing import Iterable, Iterator, Optional, Union
 
 from ..hardware.simulator import ActivityStats
 from ..mnrl.network import Network
 from .tables import KIND_COUNTER, PORT_BODY, PORT_FST, PORT_LST, PORT_PRE, TransitionTables, compile_tables
 
-__all__ = ["StreamScanner", "scan_bytes", "Chunk", "coerce_chunk"]
+__all__ = ["StreamScanner", "ReportSet", "scan_bytes", "Chunk", "coerce_chunk"]
 
 #: Anything a scan entry point accepts as one chunk of input.  ``str``
 #: is a convenience for latin-1 text; binary-safe callers should pass a
@@ -79,6 +82,72 @@ def coerce_chunk(chunk: Chunk) -> "bytes | bytearray | memoryview":
     )
 
 
+class ReportSet(Set):
+    """The distinct ``(position, report_id)`` pairs of one stream.
+
+    A read-only :class:`collections.abc.Set` -- equal to the ``set`` of
+    the same pairs -- that keeps one ascending ``array('q')`` of
+    positions per report id: 8 bytes a report instead of a tuple, an
+    int and a set slot (about 116 bytes), for as long as the stream
+    lives.  Scanners record positions in ascending order, so
+    :meth:`record` appends; an older position is inserted in place.
+
+    >>> reports = ReportSet([(5, "a"), (2, "b")])
+    >>> reports.record(7, "a"), reports.record(7, "a")
+    (True, False)
+    >>> reports == {(2, "b"), (5, "a"), (7, "a")}
+    True
+    """
+
+    __slots__ = ("_ends", "_len")
+
+    def __init__(self, pairs: Iterable[tuple[int, Optional[str]]] = ()):
+        self._ends: dict[Optional[str], array] = {}
+        self._len = 0
+        for position, report_id in pairs:
+            self.record(position, report_id)
+
+    def record(self, position: int, report_id: Optional[str]) -> bool:
+        """Add one pair; ``True`` when it was not present yet."""
+        ends = self._ends.get(report_id)
+        if ends is None:
+            self._ends[report_id] = array("q", (position,))
+        elif ends[-1] < position:
+            ends.append(position)
+        else:
+            at = bisect_left(ends, position)
+            if ends[at] == position:
+                return False
+            ends.insert(at, position)
+        self._len += 1
+        return True
+
+    def __contains__(self, pair) -> bool:
+        try:
+            position, report_id = pair
+            ends = self._ends.get(report_id)
+            at = -1 if ends is None else bisect_left(ends, position)
+        except (TypeError, ValueError):
+            return False
+        return 0 <= at < len(ends) and ends[at] == position
+
+    def __iter__(self) -> Iterator[tuple[int, Optional[str]]]:
+        for report_id, ends in self._ends.items():
+            for position in ends:
+                yield position, report_id
+
+    def __len__(self) -> int:
+        return self._len
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        # set operators (``|``, ``&``, ``-``) return a plain ``set``
+        return set(iterable)
+
+    def __repr__(self) -> str:
+        return f"ReportSet({sorted(self, key=lambda pair: pair[0])!r})"
+
+
 class StreamScanner:
     """Incremental scanner over precompiled transition tables.
 
@@ -117,7 +186,7 @@ class StreamScanner:
         self._finished = False
         self.stats = ActivityStats()
         #: distinct (position, report_id) pairs seen so far
-        self.reports: set[tuple[int, Optional[str]]] = set()
+        self.reports = ReportSet()
 
     @property
     def bytes_fed(self) -> int:
@@ -170,7 +239,7 @@ class StreamScanner:
         bv = self._bv
         pre = self._pre
         dirty = self._dirty
-        reports = self.reports
+        record = self.reports.record
         new: list[tuple[int, Optional[str]]] = []
 
         ste_activations = 0
@@ -196,10 +265,9 @@ class StreamScanner:
                     while rep:
                         low = rep & -rep
                         rep ^= low
-                        pair = (position, ste_rids[low.bit_length() - 1])
-                        if pair not in reports:
-                            reports.add(pair)
-                            new.append(pair)
+                        rid = ste_rids[low.bit_length() - 1]
+                        if record(position, rid):
+                            new.append((position, rid))
                 remaining = active
                 while remaining:
                     low = remaining & -remaining
@@ -260,10 +328,8 @@ class StreamScanner:
                     if fired_out:
                         if mod_reports[i]:
                             n_events += 1
-                            pair = (position, mod_rids[i])
-                            if pair not in reports:
-                                reports.add(pair)
-                                new.append(pair)
+                            if record(position, mod_rids[i]):
+                                new.append((position, mod_rids[i]))
                         next_enabled |= out_ste[i]
                         hooks = out_hooks[i]
                         if hooks is not None:
@@ -307,7 +373,7 @@ class StreamScanner:
         stats.reports += n_events
         return new
 
-    def finish(self) -> set[tuple[int, Optional[str]]]:
+    def finish(self) -> ReportSet:
         """Mark end-of-stream; returns the distinct report set.
 
         After ``finish()`` further :meth:`feed` calls raise (use
@@ -317,7 +383,7 @@ class StreamScanner:
         return self.reports
 
     # -- one-shot conveniences (mirror the reference simulator) ------------
-    def scan(self, data: Chunk) -> set[tuple[int, Optional[str]]]:
+    def scan(self, data: Chunk) -> ReportSet:
         """Reset, consume ``data`` as one chunk, finish."""
         self.reset()
         self.feed(data)

@@ -432,18 +432,26 @@ class RulesetMatcher:
         """Apply the facade's reporting semantics to raw hardware
         reports: ``$`` end-of-data gating, deterministic naming of
         unnamed reports, Table 2 energy pricing."""
-        matches: dict[str, set[int]] = {}
+        # lists, not sets: the report pairs are distinct, so a rule's
+        # ends repeat only where unnamed (None) reports and a rule named
+        # UNNAMED_REPORT share one key; a long stream's result then
+        # costs 8 bytes per match instead of a set slot
+        matches: dict[str, list[int]] = {}
         for position, rule_id in reports:
             rule = rule_id if rule_id is not None else UNNAMED_REPORT
             if rule in self._end_anchored and position != bytes_scanned:
                 continue
-            matches.setdefault(rule, set()).add(position)
+            matches.setdefault(rule, []).append(position)
+        for rule, ends in matches.items():
+            ends.sort()
+            if rule == UNNAMED_REPORT:
+                ends[:] = sorted(set(ends))
         energy = energy_of_run(stats, self.mapping)
         # rule ids are sorted so the mapping's order is deterministic
         # (report sets iterate in hash order), matching merge_scan_results
         return ScanResult(
             bytes_scanned=bytes_scanned,
-            matches={rule: sorted(ends) for rule, ends in sorted(matches.items())},
+            matches={rule: matches[rule] for rule in sorted(matches)},
             energy_nj_per_byte=energy.nj_per_byte,
             compile_info=self.compile_info,
         )

@@ -142,7 +142,7 @@ def _module_tables_for(rules: tuple):
 
 @given(
     rules=module_rule_lists,
-    data=st.lists(st.sampled_from(list(b"aabbcx.")), max_size=60).map(bytes),
+    data=st.lists(st.sampled_from(list(b"aabbcx.\n")), max_size=60).map(bytes),
     cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=5),
 )
 @settings(max_examples=80, deadline=None)

@@ -30,7 +30,7 @@ from repro.hardware.simulator import NetworkSimulator
 from repro.matching import RulesetMatcher
 from repro.mnrl.network import Network
 from repro.rules import load_rules_text
-from repro.workloads.inputs import plant_matches, stream_for_style
+from repro.workloads.inputs import network_stream, plant_matches, stream_for_style
 from repro.workloads.snort_rules import corpus_text
 from repro.workloads.synth import (
     clamav_like,
@@ -423,6 +423,14 @@ def _class_rows_bit_by_bit(tables):
     return row_of, uniq_rows
 
 
+@pytest.fixture(scope="module")
+def corpus_tables():
+    """The 2,000-rule Snort corpus as compiled by the offline benchmark
+    (one compile per test module)."""
+    matcher, _ = load_rules_text(corpus_text()).compile(opt_level=1)
+    return matcher.tables
+
+
 @needs_numpy
 class TestBlockProgramClassRows:
     """The per-class membership rows decode the match masks exactly."""
@@ -445,11 +453,28 @@ class TestBlockProgramClassRows:
     def test_empty_tables(self):
         self._assert_rows_match(compile_tables(Network("empty")))
 
-    def test_snort_corpus_tables(self):
-        matcher, _ = load_rules_text(corpus_text()).compile(opt_level=1)
-        tables = matcher.tables
-        assert tables.n_stes == 10727
-        self._assert_rows_match(tables)
+    def test_snort_corpus_tables(self, corpus_tables):
+        assert corpus_tables.n_stes == 10727
+        self._assert_rows_match(corpus_tables)
+
+
+@needs_numpy
+class TestCorpusDifferential:
+    """Block vs stream on the corpus: hundreds of counter and
+    bit-vector modules, many awake at once in every block."""
+
+    def test_block_equals_stream_on_network_traffic(self, corpus_tables):
+        data = network_stream(8192, seed=3)
+        block = BlockScanner(corpus_tables, block_size=1024)
+        stream = StreamScanner(corpus_tables)
+        for offset in range(0, len(data), 1024):
+            block.feed(data[offset : offset + 1024])
+            stream.feed(data[offset : offset + 1024])
+        assert block.finish() == stream.finish()
+        assert block.stats.equivalent(stream.stats)
+        assert block.sweep_stats.modules_vectorized
+        # the traffic must actually exercise modules
+        assert stream.stats.counter_ops and stream.stats.bit_vector_ops
 
 
 class TestFacadeEngineSelection:

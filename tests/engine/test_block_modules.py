@@ -7,6 +7,9 @@ Three layers of proof that module state is exact under vector sweeps:
 * chunk-boundary properties: counter registers and bit-vector shift
   registers carry exactly across ``feed()`` splits at **every** split
   point of a matching window, with sweeps committing (zero rescans);
+* a long-input property: many overlapping entries per block, with the
+  block scanner's reports, stats and carried scalar state equal to the
+  interpreter's after every ``feed()``;
 * the disable-streak decay: a module-dense burst turns sweeps off,
   module-quiescent input turns them back on, equivalence holds across
   the whole disable/re-enable arc.
@@ -16,10 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.engine.block as block_engine
+from repro.compiler.emit import Decision, emit_network, plan_decisions
 from repro.compiler.pipeline import compile_pattern, compile_ruleset
 from repro.engine.block import BlockScanner, BlockSweepStats, _program_for
 from repro.engine.scanner import StreamScanner
 from repro.engine.tables import compile_tables
+from repro.regex.parser import parse
+from repro.regex.rewrite import simplify
 
 pytestmark = pytest.mark.skipif(
     block_engine.numpy_or_none() is None,
@@ -43,16 +49,31 @@ def _want(tables, data):
     return reference.finish(), reference.stats
 
 
+def _carried_state(scanner):
+    return (
+        scanner._enabled,
+        scanner._cycle,
+        scanner._counts,
+        scanner._bv,
+        scanner._pre,
+        scanner._dirty,
+    )
+
+
 def _assert_every_split_exact(tables, data, block_size):
     """Feed ``data`` split at every possible point; each split must
+    carry the interpreter's scalar state across the split and
     reproduce the one-shot reference exactly, with every sweep
     committing (the whole point of in-lane module execution)."""
     want_reports, want_stats = _want(tables, data)
     for split in range(len(data) + 1):
         scanner = BlockScanner(tables, block_size=block_size)
         scanner.feed(data[:split])
-        scanner.feed(data[split:])
         context = (data, split, block_size)
+        head = StreamScanner(tables)
+        head.feed(data[:split])
+        assert _carried_state(scanner._scalar) == _carried_state(head), context
+        scanner.feed(data[split:])
         assert scanner.finish() == want_reports, context
         assert scanner.stats.equivalent(want_stats), context
         sweep = scanner.sweep_stats
@@ -118,8 +139,9 @@ class TestChunkBoundaryProperties:
     def test_bit_vector_register_across_every_split(self, lo, extra, gap, block_size):
         hi = lo + extra
         tables = _tables(f"b.{{{lo},{hi}}}c")
-        # overlapping b's keep several tokens of different ages alive
-        data = b"bb" + b"x" * gap + b"c" + b"b" + b"c"
+        # overlapping b's keep several tokens of different ages alive;
+        # `.` excludes the newline, which kills every live token
+        data = b"bb" + b"x" * gap + b"c" + b"b" + b"c" + b"bbx\n" + b"x" * gap + b"c"
         _assert_every_split_exact(tables, data, block_size)
 
     @given(
@@ -132,7 +154,21 @@ class TestChunkBoundaryProperties:
     def test_all_input_bit_vector_across_every_split(self, lo, extra, run, block_size):
         hi = lo + extra
         tables = _tables(f".{{{lo},{hi}}}z")
-        data = b"ab" * run + b"z" + b"az"
+        # the newline breaks the `.` body under every carried token
+        data = b"ab" * run + b"z" + b"a\nab" * 2 + b"az"
+        _assert_every_split_exact(tables, data, block_size)
+
+    @pytest.mark.parametrize("pattern", [r"[ab]a{2,4}", r"[^b]a{2,3}b"])
+    @pytest.mark.parametrize("block_size", [2, 3, 5, 64])
+    def test_forced_counter_resets_on_every_entry(self, pattern, block_size):
+        # a counter forced onto a repetition whose head overlaps its
+        # body (the compiler would pick a bit vector): every entry
+        # inside a live run resets the register, so it never reaches lo
+        ast = simplify(parse(pattern).ast)
+        decisions = {i: Decision.COUNTER for i in plan_decisions(ast, {})}
+        tables = compile_tables(emit_network(ast, decisions, report_id="p").network)
+        assert any(plan.absorbed is not None for plan in _program_for(tables).mod_plans)
+        data = b"baaaaab xaaab aaaaaaab"
         _assert_every_split_exact(tables, data, block_size)
 
     @given(
@@ -155,6 +191,76 @@ class TestChunkBoundaryProperties:
             _TABLES_CACHE[key] = tables
         data = b"xa" * hi + b"b" + b"y" * lo + b"cabc"
         _assert_every_split_exact(tables, data, block_size)
+
+
+#: `{lo,hi}` shapes over a small alphabet: absorbed counters, absorbed
+#: and ALL_INPUT bit vectors (whose `.` bodies break on the newline),
+#: class-run bodies and chained modules
+_LONG_SHAPES = [
+    "{head}a{{{lo},{hi}}}",
+    "b.{{{lo},{hi}}}c",
+    ".{{{lo},{hi}}}c",
+    "[ab]{{{lo},{hi}}}c",
+    "{head}a{{{lo},{hi}}}b{{1,{lo}}}",
+]
+
+
+@st.composite
+def _long_rule(draw, tag):
+    lo = draw(st.integers(min_value=1, max_value=20))
+    hi = lo + draw(st.integers(min_value=0, max_value=20))
+    if hi == 1:
+        hi = 2  # `a{1,1}` simplifies to a plain STE
+    shape = draw(st.sampled_from(_LONG_SHAPES))
+    head = draw(st.sampled_from(["b", "[^a]", "c"]))
+    return (tag, shape.format(head=head, lo=lo, hi=hi))
+
+
+class TestLongInputProperty:
+    """Hundreds of bytes per block and ``hi`` up to 40: many tokens of
+    different ages overlap inside one block, and the carried state must
+    match the interpreter's at every chunk boundary."""
+
+    @given(
+        rules=st.integers(min_value=1, max_value=3).flatmap(
+            lambda k: st.tuples(*[_long_rule(tag=f"r{i}") for i in range(k)])
+        ),
+        alphabet=st.sampled_from([b"abc", b"ab\n", b"abc\n", b"aab\n"]),
+        data=st.data(),
+        block_size=st.sampled_from([7, 64, 1024]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_state_equals_interpreter_after_every_feed(
+        self, rules, alphabet, data, block_size
+    ):
+        # runs of one byte let a lone token age out at a block boundary
+        runs = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(list(alphabet)), st.integers(1, 45)),
+                min_size=1,
+                max_size=120,
+            )
+        )
+        text = b"".join(bytes([byte]) * length for byte, length in runs)
+        text = (text * (200 // len(text) + 1))[:2000]
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, len(text)), min_size=1, max_size=4))
+        )
+        key = ("long",) + rules
+        tables = _TABLES_CACHE.get(key)
+        if tables is None:
+            tables = compile_tables(compile_ruleset(list(rules)).network)
+            _TABLES_CACHE[key] = tables
+        block = BlockScanner(tables, block_size=block_size)
+        stream = StreamScanner(tables)
+        for start, end in zip([0] + cuts, cuts + [len(text)]):
+            block.feed(text[start:end])
+            stream.feed(text[start:end])
+            context = (rules, start, end)
+            assert block.reports == stream.reports, context
+            assert block.stats.equivalent(stream.stats), context
+            assert _carried_state(block._scalar) == _carried_state(stream), context
+        assert block.sweep_stats.modules_vectorized
 
 
 class TestSweepStats:

@@ -6,9 +6,12 @@ rules, nullable rules, and matches whose counter/bit-vector state spans
 a chunk boundary.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.scanner import ReportSet
 from repro.matching import RulesetMatcher
 
 #: rules chosen so that chunk boundaries can fall inside counter runs,
@@ -158,3 +161,20 @@ def test_stream_energy_matches_single_buffer():
         m.scan_stream([data[:73], data[73:]]).energy_nj_per_byte
         == m.scan(data).energy_nj_per_byte
     )
+
+
+class TestReportSet:
+    """The scanner's compact report store stands in for a ``set``."""
+
+    def test_equals_the_set_of_its_pairs(self):
+        pairs = [(9, "a"), (3, "b"), (3, "a"), (7, None), (5, "a")]  # unordered
+        reports = ReportSet(pairs)
+        want = set(pairs)
+        assert reports == want and want == reports
+        assert len(reports) == 5 and set(reports) == want
+        assert (3, "a") in reports
+        assert (4, "a") not in reports and (3, "c") not in reports
+        assert "junk" not in reports and ("x", "a") not in reports
+        assert not reports.record(5, "a")
+        assert reports | {(1, "z")} == want | {(1, "z")}
+        assert pickle.loads(pickle.dumps(reports)) == want

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.simulator import ActivityStats
 from repro.matching import RulesetMatcher, UNNAMED_REPORT
 
 
@@ -83,6 +84,14 @@ class TestReportNaming:
 
     def test_unnamed_sentinel_is_stable(self):
         assert UNNAMED_REPORT == "<unnamed>"
+
+    def test_unnamed_reports_share_the_sentinel_key_once(self):
+        # a None report id and a rule literally named UNNAMED_REPORT
+        # land on one key: each end offset appears once, sorted
+        matcher = RulesetMatcher([("r", "abc")])
+        reports = {(4, None), (4, UNNAMED_REPORT), (9, "r"), (2, "r"), (1, None)}
+        result = matcher._result_from_reports(reports, 10, ActivityStats())
+        assert result.matches == {UNNAMED_REPORT: [1, 4], "r": [2, 9]}
 
 
 class TestResources:
