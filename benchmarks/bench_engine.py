@@ -397,6 +397,8 @@ def test_backend_throughput_matrix_modules(module_heavy_workload):
                     "rescans": sweep_stats.rescans,
                     "reenables": sweep_stats.reenables,
                     "modules_vectorized": sweep_stats.modules_vectorized,
+                    "sparse_lanes": sweep_stats.sparse_lanes,
+                    "dense_lanes": sweep_stats.dense_lanes,
                 },
                 "matrix": matrix,
             }
@@ -1046,6 +1048,107 @@ def test_rules_compile_scale(tmp_path):
         f"({result.total_matches()} matches)",
     )
     assert speedup >= RULES_WARM_FLOOR
+
+
+#: network traffic scanned per block size in the corpus sweep section
+CORPUS_SWEEP_BYTES = 256 * 1024
+#: block sizes of that section: the cluster's 1 KiB feed pieces (dense
+#: lanes only) and the default 16 KiB block (sparse lanes eligible)
+CORPUS_SWEEP_BLOCKS = (1024, 16384)
+
+
+def test_block_corpus_sweep():
+    """The block sweep on the 2,000-rule Snort corpus, unplanted
+    network traffic, at 1 KiB and 16 KiB blocks: throughput, STE lanes
+    evaluated per block, the share of them evaluated as sparse position
+    arrays, and the share of feed time spent evaluating counter and
+    bit-vector modules -- the `block_corpus` section of
+    BENCH_engine.json."""
+    from repro.engine import block as block_engine
+    from repro.engine import block_modules
+    from repro.rules import load_rules_text
+    from repro.workloads.inputs import network_stream
+    from repro.workloads.snort_rules import corpus_text
+
+    if block_engine.numpy_or_none() is None:
+        pytest.skip("numpy not installed (block backend unavailable)")
+    matcher, _ = load_rules_text(corpus_text()).compile(opt_level=1)
+    tables = matcher.tables
+    data = network_stream(CORPUS_SWEEP_BYTES, seed=3)
+
+    def feed_all(scanner):
+        scanner.reset()
+        for offset in range(0, len(data), CHUNK):
+            scanner.feed(data[offset : offset + CHUNK])
+
+    # module time comes from a separate pass through a timing wrapper,
+    # so the wrapper's own cost stays out of the throughput figures
+    module_seconds = [0.0]
+    plain_eval = block_modules.eval_module
+
+    def timed_eval(*args):
+        started = time.perf_counter()
+        try:
+            return plain_eval(*args)
+        finally:
+            module_seconds[0] += time.perf_counter() - started
+
+    rows: dict = {}
+    reports = []
+    for block_size in CORPUS_SWEEP_BLOCKS:
+        scanner = block_engine.BlockScanner(tables, block_size=block_size)
+        elapsed = _time(lambda: feed_all(scanner))
+        sweep = scanner.sweep_stats
+        lanes = sweep.sparse_lanes + sweep.dense_lanes
+        reports.append(scanner.finish())
+        module_seconds[0] = 0.0
+        block_modules.eval_module = timed_eval
+        try:
+            started = time.perf_counter()
+            feed_all(scanner)
+            wrapped = time.perf_counter() - started
+        finally:
+            block_modules.eval_module = plain_eval
+        rows[str(block_size)] = {
+            "MBps": len(data) / elapsed / 1e6,
+            "blocks": sweep.committed_blocks,
+            "lanes_per_block": lanes / sweep.committed_blocks,
+            "sparse_share": sweep.sparse_lanes / lanes,
+            "module_eval_share": module_seconds[0] / wrapped,
+        }
+    assert reports[0] == reports[1]
+
+    update_json(
+        "engine",
+        {
+            "block_corpus": {
+                "n_stes": tables.n_stes,
+                "n_modules": tables.n_modules,
+                "stream_bytes": len(data),
+                "chunk_bytes": CHUNK,
+                "reports": len(reports[0]),
+                "sparse_min_block": block_engine._SPARSE_MIN_BLOCK,
+                "sparse_max_share": block_engine._SPARSE_MAX_SHARE,
+                "blocks": rows,
+            }
+        },
+    )
+    lines = [
+        f"Block sweep on the Snort corpus ({tables.n_stes} STEs, "
+        f"{tables.n_modules} modules, {len(data)} bytes of network traffic, "
+        f"{len(reports[0])} reports)"
+    ]
+    for block_size, row in rows.items():
+        lines.append(
+            f"  {int(block_size):>6} B blocks: {row['MBps']:.2f} MB/s, "
+            f"{row['lanes_per_block']:.0f} STE lanes/block "
+            f"({row['sparse_share']:.0%} sparse), "
+            f"module eval {row['module_eval_share']:.0%} of feed time"
+        )
+    save_report("engine_block_corpus", "\n".join(lines))
+    # short blocks keep dense lanes; long ones take the sparse form
+    assert rows["1024"]["sparse_share"] == 0, "\n".join(lines)
+    assert rows["16384"]["sparse_share"] > 0.5, "\n".join(lines)
 
 
 def test_table_engine_throughput(benchmark, workload):

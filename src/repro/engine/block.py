@@ -8,40 +8,67 @@ trades the per-byte loop for *per-block* vector sweeps, the same move
 GPU IDS engines make when they batch the byte->class indirection
 (Bellekens et al.): load a block of input, translate it to alphabet
 classes in one gather, then evaluate STE occupancy over the whole
-block with NumPy boolean lanes.
+block as NumPy boolean lanes or position arrays.
 
 How a block is scanned
 ----------------------
 For a network whose per-cycle activity is STE-only, STE ``v``'s
-occupancy over a block is a boolean lane ``occ[v]`` (one element per
-input position) satisfying::
+occupancy over a block satisfies::
 
     occ[v][t] = memb[v][t] and (always[v]
                                 or occ[u][t-1] for some predecessor u
                                 or carried enable at t == 0)
 
-where ``memb[v] = class_row[v][byte_class[block]]`` is one vectorized
-gather (shared by every STE with the same symbol set -- run chains
-share one row).  Evaluating STEs in topological order turns the whole
-recurrence into one shifted AND/OR per edge, and an STE whose
-occupancy lane is all-zero prunes its entire downstream cone for the
-block -- literal chains die after a couple of levels, which is where
-the asymptotic win over the scalar interpreter comes from.  Self-loop
-STEs (``a+``/``a*`` tails) stay vectorizable through the run-length
-closed form: the self-loop holds at ``t`` iff some enable arrived
-inside the current unbroken symbol run, i.e. ``last_enable_index >=
-run_start_index``, both one ``np.maximum.accumulate`` away.  Networks
-with longer feedback cycles fall back to the scalar interpreter
-outright (``vector_ok`` is False).
+where ``memb[v] = class_row[v][byte_class[block]]`` (STEs with the
+same symbol set -- run chains -- share one row).  The block's bytes
+become classes in one gather, then STEs are evaluated in topological
+order; an STE that stays silent prunes its entire downstream cone for
+the block -- literal chains die after a couple of levels, which is
+where the asymptotic win over the scalar interpreter comes from.  Only
+woken steps are visited: a bytearray flags them by position in the
+order and ``bytearray.find`` jumps to the next, so a block of the
+2,000-rule corpus touches a few hundred of its ~11,000 steps instead
+of testing each.
 
-Stats and reports are exact, not approximate: activations are
-``count_nonzero`` per occupancy lane, report events are the nonzero
-positions of reporting STEs' lanes, so the backend meets the same
-``ActivityStats``-exact contract as the scalar engine.
+Each live STE holds one of two forms:
+
+* **sparse** -- a sorted ``intp`` array of the positions where it is
+  active.  Its candidates are every live predecessor's positions plus
+  one (and position 0 on a carried or start enable); one gather,
+  ``class_row[v][cls[cand]]``, keeps those where the symbol matches.
+  A sentinel class at index ``blen``, which no row matches, drops a
+  predecessor's hit at the block's last position without a bounds
+  check.  Activations are the array's length, reports its elements,
+  and the carried enable is ``positions[-1] == blen - 1``.  No
+  block-length work happens at all, so scan cost follows the block's
+  activity instead of ``#STEs x block length``.
+* **dense** -- a boolean lane, one element per position: membership
+  gathered over the whole block, then one shifted AND/OR per live
+  predecessor (a sparse predecessor is scattered in).  Always-on heads
+  (occupancy is plain membership), self-loop STEs, and every STE whose
+  candidates exceed ``_SPARSE_MAX_SHARE`` of the block are dense, and
+  so is every STE of a block shorter than ``_SPARSE_MIN_BLOCK`` --
+  below it the sparse form's per-STE NumPy calls cost more than its
+  gathers save.  Module outputs are always dense lanes.  A dense lane
+  hands a sparse successor its ``flatnonzero`` once.
+
+Self-loop STEs (``a+``/``a*`` tails) stay vectorizable through the
+run-length closed form: the self-loop holds at ``t`` iff some enable
+arrived inside the current unbroken symbol run, i.e.
+``last_enable_index >= run_start_index``, both one
+``np.maximum.accumulate`` away.  Networks with longer feedback cycles
+fall back to the scalar interpreter outright (``vector_ok`` is False).
+
+Stats and reports are exact, not approximate, in either form, so the
+backend meets the same ``ActivityStats``-exact contract as the scalar
+engine; :attr:`BlockScanner.sweep_stats` counts the sparse and dense
+lanes a stream evaluated.
 
 Counter / bit-vector modules
 ----------------------------
-Module activity runs *inside* the sweep whenever the combined
+Module-free tables with an acyclic STE graph run through the same
+sweep, as a program without module steps.  Module activity runs
+*inside* the sweep whenever the combined
 STE+module dependency graph is acyclic after
 :mod:`repro.engine.block_modules` collapses the emitted one-STE
 feedback loops (``en_fst`` re-arming a counter body, ``en_body``
@@ -55,10 +82,10 @@ body STE) are evaluated.  Such blocks always commit -- no rescans -- and
 reports/stats stay exactly equal to the interpreter's.
 
 Tables whose module wiring genuinely cycles (nested counting,
-multi-STE counter bodies) fall back to the *optimistic* strategy:
-module side effects can only begin at an STE that drives a module
-port (``ste_module_hooks``), and those STEs' occupancy lanes are
-computed by the sweep anyway.  If no hook STE fired in the block and
+multi-STE counter bodies) fall back to the *optimistic* strategy, an
+STE-only sweep of dense lanes: module side effects can only begin at
+an STE that drives a module port (``ste_module_hooks``), and those
+STEs' occupancy lanes are computed by the sweep anyway.  If no hook STE fired in the block and
 every module was at rest when it started, the vector result is
 committed; otherwise the block is rescanned by the embedded scalar
 :class:`StreamScanner`, which owns all module state.  A streak of
@@ -105,6 +132,17 @@ __all__ = [
 #: Snort-scale STE-only tables: large enough to amortize per-STE NumPy
 #: call overhead, small enough that occupancy lanes stay cache-resident.
 DEFAULT_BLOCK_SIZE = 16384
+
+#: Blocks shorter than this evaluate every STE lane densely: at 1 KiB
+#: the per-lane NumPy calls of the sparse form cost more than its
+#: gathers save (without this cut, 1 KiB blocks of ``snort_like(40)``
+#: ran at 0.92x on a 2-vCPU VM).
+_SPARSE_MIN_BLOCK = 4096
+
+#: In a long block, an STE whose candidate positions (its live
+#: predecessors' positions plus one) number more than this share of
+#: the block length is evaluated as a dense lane instead.
+_SPARSE_MAX_SHARE = 1 / 16
 
 #: Consecutive vector sweeps discarded (module activity detected, no
 #: commit in between) before BlockScanner stops attempting sweeps.
@@ -155,11 +193,19 @@ class _BlockProgram:
         "start_list",
         "row_of",
         "uniq_rows",
+        "cand_rows",
+        "sentinel_class",
+        "sole_pred",
         "byte_class_arr",
         "mod_plans",
         "steps",
         "mod_preds",
+        "step_of",
         "wakes",
+        "out_wakes",
+        "aux_wakes",
+        "always_steps",
+        "start_steps",
     )
 
     def __init__(self, tables: TransitionTables):
@@ -232,15 +278,33 @@ class _BlockProgram:
                 self.always_eff_flag,
                 self.start_flag,
             )
+        self.mod_plans = self.steps = self.mod_preds = self.step_of = None
+        self.wakes = self.out_wakes = self.aux_wakes = None
+        self.always_steps = self.start_steps = None
         if mod_program is None:
             self.full_ok = self.vector_ok and tables.n_modules == 0
-            self.mod_plans = self.steps = self.mod_preds = self.wakes = None
+            if self.full_ok:
+                # module-free: the STE-only program of the same sweep
+                self.steps = [(0, v) for v in topo]
+                self.mod_preds = [()] * n
+                self._index_steps(n, [tuple(s) for s in succ_lists], {}, [])
         else:
             self.full_ok = True
             self.mod_plans = mod_program.plans
             self.steps = mod_program.steps
             self.mod_preds = mod_program.mod_preds
-            self.wakes = mod_program.wakes
+            self._index_steps(
+                n, mod_program.wakes, mod_program.absorbed_of, mod_program.plans
+            )
+        # the sweep's commonest STE: one STE predecessor, nothing else
+        self.sole_pred = [
+            preds[v][0]
+            if len(preds[v]) == 1
+            and not (has_self[v] or self.always_eff_flag[v])
+            and not (self.mod_preds and self.mod_preds[v])
+            else -1
+            for v in range(n)
+        ]
 
         # one bool row of n_classes per distinct symbol set; STEs with
         # identical symbol sets (all copies of an unfolded run) share a
@@ -258,11 +322,40 @@ class _BlockProgram:
         for i in range(n):
             key = match_rows[i].tobytes()
             self.row_of[i] = row_index.setdefault(key, len(row_index))
-        self.uniq_rows = np.zeros((max(len(row_index), 1), tables.n_classes or 1), dtype=bool)
+        # one extra all-False column: the sentinel class of position
+        # ``blen``, which a sparse candidate filter gathers for a
+        # predecessor's last-position hit instead of bounds-checking
+        self.sentinel_class = tables.n_classes or 1
+        cand_rows = np.zeros((max(len(row_index), 1), self.sentinel_class + 1), dtype=bool)
+        self.uniq_rows = cand_rows[:, :-1]
         for i in range(n):
             self.uniq_rows[self.row_of[i]] = match_rows[i]
+        self.cand_rows = list(cand_rows)
         # intp, so every membership gather indexes without a conversion
         self.byte_class_arr = np.frombuffer(tables.byte_class, dtype=np.uint8).astype(np.intp)
+
+
+    def _index_steps(self, n, wakes, absorbed_of, plans) -> None:
+        """Re-address wake-ups by step position.  The sweep flags the
+        steps it must run in a bytearray indexed by position in
+        ``steps`` and jumps between flagged steps with ``find`` -- a
+        corpus block wakes a few hundred of its ~11,000 steps.  An
+        absorbed STE is addressed by its module's step."""
+        step_of = [0] * (n + len(plans))
+        for i, (kind, index) in enumerate(self.steps):
+            step_of[index if kind == 0 else n + index] = i
+        for s, m in absorbed_of.items():
+            step_of[s] = step_of[n + m]
+        self.step_of = step_of
+
+        def steps_of(nodes):
+            return tuple(sorted({step_of[w] for w in nodes}))
+
+        self.wakes = [steps_of(nodes) for nodes in wakes]
+        self.out_wakes = [steps_of(plan.out_targets) for plan in plans]
+        self.aux_wakes = [steps_of(plan.aux_targets) for plan in plans]
+        self.always_steps = steps_of(self.always_eff_list)
+        self.start_steps = steps_of(self.start_list)
 
 
 def _mask_flags(mask: int, n: int) -> list[bool]:
@@ -306,6 +399,10 @@ class BlockSweepStats:
     #: module activity runs inside sweeps on these tables (no-op True
     #: for module-free tables; False means the optimistic/rescan path)
     modules_vectorized: bool
+    #: STE lanes evaluated as sorted position arrays
+    sparse_lanes: int = 0
+    #: STE lanes evaluated as dense boolean lanes
+    dense_lanes: int = 0
 
 
 class BlockScanner:
@@ -350,6 +447,9 @@ class BlockScanner:
         self._reenables = 0
         #: module-quiescent bytes consumed since sweeps were disabled
         self._quiet_bytes = 0
+        #: STE lanes evaluated sparse / dense (monotonic)
+        self._sparse_lanes = 0
+        self._dense_lanes = 0
 
     # the embedded scalar scanner owns all mutable state, so fallback
     # blocks and vector commits observe one single source of truth
@@ -376,6 +476,8 @@ class BlockScanner:
             reenables=self._reenables,
             sweeps_disabled=self._sweeps_disabled,
             modules_vectorized=program.full_ok,
+            sparse_lanes=self._sparse_lanes,
+            dense_lanes=self._dense_lanes,
         )
 
     def reset(self) -> None:
@@ -386,6 +488,8 @@ class BlockScanner:
         self._committed = 0
         self._reenables = 0
         self._quiet_bytes = 0
+        self._sparse_lanes = 0
+        self._dense_lanes = 0
 
     def finish(self):
         """Mark end-of-stream; returns the distinct report set."""
@@ -398,9 +502,9 @@ class BlockScanner:
         chunk = coerce_chunk(chunk)
         program = self._program
 
-        if program.full_ok and not program.pure:
-            # module activity runs inside the sweep: every block
-            # commits, the scalar interpreter never replays anything
+        if program.full_ok:
+            # module activity (if any) runs inside the sweep: every
+            # block commits, the scalar interpreter never replays anything
             arr = _np.frombuffer(chunk, dtype=_np.uint8)
             new: list[tuple[int, Optional[str]]] = []
             length = len(arr)
@@ -416,6 +520,9 @@ class BlockScanner:
         if not program.vector_ok:
             return self._scalar.feed(chunk)
 
+        # module tables whose wiring the in-sweep closed forms reject:
+        # optimistic STE-only sweeps, replayed on module activity
+
         arr = _np.frombuffer(chunk, dtype=_np.uint8)
         new = []
         length = len(arr)
@@ -428,7 +535,7 @@ class BlockScanner:
                 # long enough to re-arm sweeping
                 new.extend(self._scalar_feed_tracked(chunk[offset:end]))
             # modules holding state must see every byte: scalar block
-            elif not program.pure and self._scalar._dirty:
+            elif self._scalar._dirty:
                 new.extend(self._scalar.feed(chunk[offset:end]))
             elif not self._vector_block(arr[offset:end], new):
                 # a module port was signalled mid-block: discard the
@@ -478,8 +585,9 @@ class BlockScanner:
 
     # -- the vector sweep --------------------------------------------------
     def _vector_block(self, arr, new: list) -> bool:
-        """Sweep one block; commit and return True, or detect module
-        activity and return False leaving all state untouched."""
+        """Sweep one block of tables with non-vectorizable module wiring;
+        commit and return True, or detect module activity and return
+        False leaving all state untouched."""
         np = _np
         program = self._program
         tables = self.tables
@@ -611,8 +719,8 @@ class BlockScanner:
 
     # -- the module-aware vector sweep --------------------------------------
     def _vector_block_modules(self, arr, new: list) -> None:
-        """Sweep one block with counter/bit-vector activity evaluated
-        in-lane (``full_ok`` tables).  Always commits: reports, stats,
+        """Sweep one block of ``full_ok`` tables, counter/bit-vector
+        activity evaluated in-lane.  Always commits: reports, stats,
         and module registers land exactly where the interpreter would
         have put them, so there is nothing to rescan."""
         np = _np
@@ -623,8 +731,15 @@ class BlockScanner:
         cycle = scalar._cycle
         blen = len(arr)
 
-        cls = program.byte_class_arr[arr]
+        # classes of the block plus the sentinel class at position blen
+        cls_ext = np.empty(blen + 1, dtype=np.intp)
+        cls = cls_ext[:blen]
+        np.take(program.byte_class_arr, arr, out=cls)
+        cls_ext[blen] = program.sentinel_class
+        cut = blen * _SPARSE_MAX_SHARE if blen >= _SPARSE_MIN_BLOCK else -1
         preds = program.preds
+        steps = program.steps
+        step_of = program.step_of
         wakes = program.wakes
         succ_masks = tables.succ_masks
         has_self = program.has_self
@@ -634,35 +749,51 @@ class BlockScanner:
         report_flag = program.report_flag
         row_of = program.row_of
         uniq_rows = program.uniq_rows
+        cand_rows = program.cand_rows
+        sole_pred = program.sole_pred
         rids = tables.ste_report_ids
         plans = program.mod_plans
         mod_preds = program.mod_preds
+        out_wakes = program.out_wakes
+        aux_wakes = program.aux_wakes
         out_ste_masks = tables.out_ste_masks
         aux_ste_masks = tables.aux_ste_masks
+        union_points = block_modules.union_points
         at_start = cycle == 0
         base = cycle + 1
+        last = blen - 1
 
-        # needed[v] for STE v, needed[n + m] for module m.  Like the
+        # needed[i] flags step i (see _index_steps).  Like the
         # interpreter, a module runs only when dirty or signalled (an
         # input lane fires this block); an absorbed one also when its
         # body STE carries an enable bit.  The rest stay at rest.
         n = tables.n_stes
+        # a live STE holds a dense lane (occ), sorted positions (pos),
+        # or both once a sparse successor asked a dense lane for its
+        # positions; cnt is its activation count (0: silent)
         occ: list = [None] * n
+        pos: list = [None] * n
+        cnt = [0] * n
         mod_out: list = [None] * tables.n_modules
         mod_aux: list = [None] * tables.n_modules
-        needed = bytearray(n + tables.n_modules)
-        for v in program.always_eff_list:
-            needed[v] = 1
+        needed = bytearray(len(steps))
+        for i in program.always_steps:
+            needed[i] = 1
         if at_start:
-            for v in program.start_list:
-                needed[v] = 1
+            for i in program.start_steps:
+                needed[i] = 1
+        # the carried enable bits, unpacked once: testing a bit of the
+        # big-int mask costs a shift of the whole mask per STE
+        enabled_flag = bytearray(n)
         mask = enabled
         while mask:
             low = mask & -mask
             mask ^= low
-            needed[low.bit_length() - 1] = 1
+            v = low.bit_length() - 1
+            enabled_flag[v] = 1
+            needed[step_of[v]] = 1
         for m in scalar._dirty:
-            needed[n + m] = 1
+            needed[step_of[n + m]] = 1
 
         memb_cache: dict = {}
 
@@ -674,59 +805,151 @@ class BlockScanner:
                 memb_cache[row] = memb
             return memb
 
+        def shift_in(lane, u):
+            """``lane[t] |= occupancy of u at t - 1``."""
+            points = pos[u]
+            if points is None:
+                np.logical_or(lane[1:], occ[u][:-1], out=lane[1:])
+            else:
+                if points[-1] == last:
+                    points = points[:-1]
+                lane[points + 1] = True
+
+        def sparse_points(v, live, mods, entry):
+            """STE ``v``'s positions over a long block, or ``None`` when
+            its candidates (each live predecessor's positions plus one,
+            position 0 on entry) exceed the density cut.  One gather
+            filters them: ``cand_rows`` maps the sentinel class of a
+            candidate at ``blen`` to False."""
+            nonlocal entry_point
+            total = entry
+            for u in live:
+                total += cnt[u]
+            if total > cut:
+                return None
+            parts = []
+            for u in live:
+                pu = pos[u]
+                if pu is None:
+                    pu = pos[u] = np.flatnonzero(occ[u])
+                parts.append(pu)
+            for lane_j in mods:
+                pu = np.flatnonzero(lane_j)
+                total += len(pu)
+                parts.append(pu)
+            if total > cut:
+                return None
+            if entry:
+                if entry_point is None:
+                    entry_point = np.full(1, -1, dtype=np.intp)
+                parts.append(entry_point)
+            cand = (parts[0] if len(parts) == 1 else union_points(np, parts)) + 1
+            return cand[cand_rows[row_of[v]][cls_ext[cand]]]
+
         idx = None
+        entry_point = None
         activations = 0
         events = 0
+        sparse_lanes = dense_lanes = 0
         found: list[tuple[int, Optional[str]]] = []
         acc: list = [0, 0, 0.0]
         # the interpreter seeds every cycle's next_enabled with the
         # const mask (ALL_INPUT bit vectors re-arming their body STE)
         last_mask = tables.const_enable_mask
-        for step_kind, index in program.steps:
+        next_needed = needed.find
+        i = -1
+        while True:
+            # wakes point forward in step order (always-on STEs, the
+            # exception, are flagged up front): jump to the next flag
+            i = next_needed(1, i + 1)
+            if i < 0:
+                break
+            step_kind, index = steps[i]
             if step_kind == 0:
                 v = index
-                if not needed[v]:
-                    continue
-                memb = memb_for(v)
-                entry = bool((enabled >> v) & 1) or (at_start and start_flag[v])
+                entry = enabled_flag[v] or (at_start and start_flag[v])
+                points = None
                 if always_eff[v]:
                     # enabled on every symbol: occupancy is membership --
                     # except a const-enabled (not always) STE at stream
                     # start, which the cycle-0 base does not include
-                    lane = memb
-                    if at_start and not always_flag[v] and not entry and memb[0]:
-                        lane = memb.copy()
+                    lane = memb_for(v)
+                    if at_start and not always_flag[v] and not entry and lane[0]:
+                        lane = lane.copy()
                         lane[0] = False
+                elif cut > 0 and (u := sole_pred[v]) >= 0 and 0 < cnt[u] <= cut and not entry:
+                    # sparse_points for the commonest STE, inlined: its
+                    # lone predecessor's positions plus one, filtered
+                    points = pos[u]
+                    if points is None:
+                        points = pos[u] = np.flatnonzero(occ[u])
+                    points = points + 1
+                    points = points[cand_rows[row_of[v]][cls_ext[points]]]
                 else:
-                    live = [occ[u] for u in preds[v] if occ[u] is not None]
-                    for j, src in mod_preds[v]:
-                        lane_j = mod_out[j] if src == SRC_OUT else mod_aux[j]
-                        if lane_j is not None:
-                            live.append(lane_j)
-                    if has_self[v]:
+                    live = [u for u in preds[v] if cnt[u]]
+                    mods = ()
+                    if mod_preds[v]:
+                        mods = []
+                        for j, src in mod_preds[v]:
+                            lane_j = mod_out[j] if src == SRC_OUT else mod_aux[j]
+                            if lane_j is not None:
+                                mods.append(lane_j)
+                    if cut >= 0 and not has_self[v]:
+                        points = sparse_points(v, live, mods, entry)
+                    if points is not None:
+                        pass
+                    elif has_self[v]:
+                        # self-loop closed form: held at t iff some enable
+                        # arrived within the current unbroken symbol run
+                        memb = memb_for(v)
                         if idx is None:
                             idx = np.arange(blen)
                         drive = np.zeros(blen, dtype=bool)
                         drive[0] = entry
-                        for lane_u in live:
-                            np.logical_or(drive[1:], lane_u[:-1], out=drive[1:])
+                        for u in live:
+                            shift_in(drive, u)
+                        for lane_j in mods:
+                            np.logical_or(drive[1:], lane_j[:-1], out=drive[1:])
                         run_start = np.maximum.accumulate(np.where(memb, 0, idx + 1))
                         last_drive = np.maximum.accumulate(np.where(drive, idx, -1))
                         lane = memb & (last_drive >= run_start)
-                    elif len(live) == 1:
+                    elif len(live) == 1 and not mods and pos[live[0]] is None:
+                        memb = memb_for(v)
                         lane = np.empty(blen, dtype=bool)
-                        np.logical_and(live[0][:-1], memb[1:], out=lane[1:])
+                        np.logical_and(occ[live[0]][:-1], memb[1:], out=lane[1:])
                         lane[0] = entry and bool(memb[0])
                     else:
                         lane = np.zeros(blen, dtype=bool)
                         lane[0] = entry
-                        for lane_u in live:
-                            np.logical_or(lane[1:], lane_u[:-1], out=lane[1:])
-                        np.logical_and(lane, memb, out=lane)
+                        for u in live:
+                            shift_in(lane, u)
+                        for lane_j in mods:
+                            np.logical_or(lane[1:], lane_j[:-1], out=lane[1:])
+                        np.logical_and(lane, memb_for(v), out=lane)
+                if points is not None:
+                    sparse_lanes += 1
+                    count = len(points)
+                    if count == 0:
+                        continue
+                    pos[v] = points
+                    cnt[v] = count
+                    activations += count
+                    if report_flag[v]:
+                        events += count
+                        rid = rids[v]
+                        for position in points.tolist():
+                            found.append((base + position, rid))
+                    if points[-1] == last:
+                        last_mask |= succ_masks[v]
+                    for w in wakes[v]:
+                        needed[w] = 1
+                    continue
+                dense_lanes += 1
                 count = int(np.count_nonzero(lane))
                 if count == 0:
                     continue
                 occ[v] = lane
+                cnt[v] = count
                 activations += count
                 if report_flag[v]:
                     events += count
@@ -741,20 +964,17 @@ class BlockScanner:
                 plan = plans[index]
                 s = plan.absorbed
                 if s is None:
-                    if not needed[n + index]:
-                        continue
                     memb = None
                     enabled_bit = False
                 else:
-                    if not (needed[n + index] or needed[s]):
-                        continue
                     memb = memb_for(s)
-                    enabled_bit = bool((enabled >> s) & 1)
+                    enabled_bit = bool(enabled_flag[s])
                 s_occ, out_lane, aux_lane, arm_aux = block_modules.eval_module(
                     np,
                     plan,
                     blen,
                     occ,
+                    pos,
                     mod_out,
                     mod_aux,
                     memb,
@@ -766,6 +986,7 @@ class BlockScanner:
                     count = int(np.count_nonzero(s_occ))
                     if count:
                         occ[s] = s_occ
+                        cnt[s] = count
                         activations += count
                         if report_flag[s]:
                             events += count
@@ -786,11 +1007,11 @@ class BlockScanner:
                             found.append((base + position, rid))
                     if out_lane[-1]:
                         last_mask |= out_ste_masks[index]
-                    for w in plan.out_targets:
+                    for w in out_wakes[index]:
                         needed[w] = 1
                 if aux_lane is not None:
                     mod_aux[index] = aux_lane
-                    for w in plan.aux_targets:
+                    for w in aux_wakes[index]:
                         needed[w] = 1
                 if arm_aux:
                     last_mask |= aux_ste_masks[index]
@@ -804,6 +1025,8 @@ class BlockScanner:
         stats.bit_vector_ops += acc[1]
         stats.bit_vector_weighted_ops += acc[2]
         stats.reports += events
+        self._sparse_lanes += sparse_lanes
+        self._dense_lanes += dense_lanes
         if found:
             record = scalar.reports.record
             found.sort(key=lambda pair: pair[0])

@@ -5,8 +5,12 @@ counters hold one register (reset-wins semantics), bit vectors hold a
 shift register of token ages (the counting-set representation of
 :mod:`repro.nca.counting_sets`, Section 3.2.1).  Those per-byte
 recurrences have *closed forms over a block* once the module's input
-signals are available as boolean lanes, which is exactly what the
-block sweep computes for every STE anyway:
+signals are available over the whole block, which is exactly what the
+block sweep computes for every STE anyway -- as a boolean lane, or as
+sorted positions when the STE is sparse.  Sparse ``pre`` drivers give
+the token entries directly (one position later); inputs a closed form
+reads lane-wise (``fst``/``lst`` prefix sums, a free-standing bit
+vector's body breaks) are scattered into a lane first:
 
 * **absorbed modules** (a counter or bit vector fused with its single
   body STE, below) -- a token enters at ``e`` where a body signal
@@ -62,7 +66,7 @@ from .tables import (
     module_wiring,
 )
 
-__all__ = ["ModulePlan", "ModuleProgram", "analyze", "eval_module"]
+__all__ = ["ModulePlan", "ModuleProgram", "analyze", "eval_module", "union_points"]
 
 
 class ModulePlan:
@@ -339,15 +343,26 @@ def _module_nodes(n: int, hooks) -> tuple[int, ...]:
 # -- per-block lane evaluation ---------------------------------------------
 
 
-def _gather(np, stes, mods, occ, mod_out, mod_aux):
-    """OR together driver lanes; ``None`` when every driver is idle.
-    The returned array may alias a driver lane -- callers treat it as
-    read-only."""
+def _gather(np, stes, mods, occ, pos, mod_out, mod_aux):
+    """OR together driver signals; ``None`` when every driver is idle.
+
+    An STE signal is its dense lane ``occ[u]`` or, when it has none, its
+    sorted positions ``pos[u]``; module outputs are always dense lanes.
+    When every live driver is sparse the result stays sparse (sorted,
+    distinct positions), otherwise it is a dense lane.  The result may
+    alias a driver's array -- callers treat it as read-only."""
     lane = None
     owned = False
+    points = None
     for u in stes:
         lu = occ[u]
         if lu is None:
+            pu = pos[u]
+            if pu is not None:
+                if points is None:
+                    points = [pu]
+                else:
+                    points.append(pu)
             continue
         if lane is None:
             lane = lu
@@ -367,7 +382,46 @@ def _gather(np, stes, mods, occ, mod_out, mod_aux):
         else:
             lane = np.logical_or(lane, lj)
             owned = True
+    if points is None:
+        return lane
+    if lane is None:
+        return points[0] if len(points) == 1 else union_points(np, points)
+    if not owned:
+        lane = lane.copy()
+    for pu in points:
+        lane[pu] = True
     return lane
+
+
+def union_points(np, parts):
+    """Sorted distinct union of several position arrays (a sort and an
+    adjacent-duplicate drop: ``np.unique`` takes a slower hash path)."""
+    points = np.concatenate(parts)
+    points.sort()
+    keep = np.empty(len(points), dtype=bool)
+    keep[:1] = True
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
+    return points[keep]
+
+
+def _is_lane(signal) -> bool:
+    return signal.dtype == bool
+
+
+def _dense(np, blen, signal):
+    """``signal`` as a boolean lane (``None`` stays ``None``)."""
+    if signal is None or _is_lane(signal):
+        return signal
+    lane = np.zeros(blen, dtype=bool)
+    lane[signal] = True
+    return lane
+
+
+def _fires_last(blen, signal) -> bool:
+    """Does a live ``signal`` fire at the block's last position?"""
+    if _is_lane(signal):
+        return bool(signal[-1])
+    return bool(signal[-1] == blen - 1)
 
 
 def _nonzero_or_none(np, lane):
@@ -380,8 +434,11 @@ def _nonzero_or_none(np, lane):
 _SILENT = (None, None, None, False)
 
 
-def eval_module(np, plan, blen, occ, mod_out, mod_aux, memb, enabled_bit, scalar, acc):
+def eval_module(np, plan, blen, occ, pos, mod_out, mod_aux, memb, enabled_bit, scalar, acc):
     """Evaluate one module over a block.
+
+    STE drivers arrive as dense lanes (``occ``) or sorted positions
+    (``pos``), see :func:`_gather`.
 
     Returns ``(s_occ, out_lane, aux_lane, arm_aux)``: the absorbed
     body STE's occupancy (``None`` for free-standing modules or when it
@@ -394,7 +451,7 @@ def eval_module(np, plan, blen, occ, mod_out, mod_aux, memb, enabled_bit, scalar
     back to ``scalar`` directly.
     """
     m = plan.index
-    prep = _gather(np, plan.pre_stes, plan.pre_mods, occ, mod_out, mod_aux)
+    prep = _gather(np, plan.pre_stes, plan.pre_mods, occ, pos, mod_out, mod_aux)
     pre0 = scalar._pre[m]
 
     if plan.kind == KIND_COUNTER:
@@ -404,19 +461,20 @@ def eval_module(np, plan, blen, occ, mod_out, mod_aux, memb, enabled_bit, scalar
             )
         else:
             result = _eval_counter_free(
-                np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc
+                np, plan, blen, occ, pos, mod_out, mod_aux, prep, pre0, scalar, acc
             )
     elif plan.absorbed is not None:
         result = _eval_bv(np, plan, blen, memb, prep, pre0, scalar, acc, absorbed=True)
     else:
-        body = _gather(np, plan.body_stes, plan.body_mods, occ, mod_out, mod_aux)
+        body = _gather(np, plan.body_stes, plan.body_mods, occ, pos, mod_out, mod_aux)
+        body = _dense(np, blen, body)
         result = _eval_bv(np, plan, blen, body, prep, pre0, scalar, acc, absorbed=False)
 
     # The interpreter's latched ``pre`` lives exactly one cycle, so
     # after a block only the last position's pulse (or ALL_INPUT
     # re-arming) survives; a non-resting latch or a live shift register
     # keeps a module on the interpreter's dirty list.
-    pre_last = prep is not None and bool(prep[-1])
+    pre_last = prep is not None and _fires_last(blen, prep)
     pre = plan.all_input or pre_last
     scalar._pre[m] = pre
     if (pre and not plan.all_input) or scalar._bv[m]:
@@ -435,16 +493,28 @@ def _pre_lane(np, blen, prep, pre0):
     lane = np.zeros(blen, dtype=bool)
     lane[0] = pre0
     if prep is not None:
-        lane[1:] = prep[:-1]
+        if _is_lane(prep):
+            lane[1:] = prep[:-1]
+        else:
+            lane[_latched(blen, prep)] = True
     return lane
 
 
-def _eval_counter_free(np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar, acc):
+def _latched(blen, points):
+    """Where sparse `pre` pulses are consumed: one position later,
+    dropping a pulse at the block's last position (the carry)."""
+    if points[-1] == blen - 1:
+        points = points[:-1]
+    return points + 1
+
+
+def _eval_counter_free(np, plan, blen, occ, pos, mod_out, mod_aux, prep, pre0, scalar, acc):
     """Free-standing counter: inputs are ordinary lanes, the register
     follows ``fst`` pulses by prefix sums with reset-wins gathers."""
     m = plan.index
-    fst = _gather(np, plan.fst_stes, plan.fst_mods, occ, mod_out, mod_aux)
-    lst = _gather(np, plan.lst_stes, plan.lst_mods, occ, mod_out, mod_aux)
+    drivers = (occ, pos, mod_out, mod_aux)
+    fst = _dense(np, blen, _gather(np, plan.fst_stes, plan.fst_mods, *drivers))
+    lst = _dense(np, blen, _gather(np, plan.lst_stes, plan.lst_mods, *drivers))
     c_in = scalar._counts[m]
     if fst is None and lst is None:
         return _SILENT
@@ -484,13 +554,16 @@ def _eval_counter_free(np, plan, blen, occ, mod_out, mod_aux, prep, pre0, scalar
 def _entries(np, body, prep, pre0, all_input):
     """Ascending positions where a token enters: a body signal meeting
     the `pre` latched one cycle earlier (every body signal when the
-    module is ALL_INPUT)."""
+    module is ALL_INPUT).  ``prep`` is a lane or sparse positions."""
     if all_input:
         return np.flatnonzero(body)
     if prep is None:
         ent = np.empty(0, dtype=np.intp)
     else:
-        ent = np.flatnonzero(prep[:-1]) + 1
+        if _is_lane(prep):
+            ent = np.flatnonzero(prep[:-1]) + 1
+        else:
+            ent = _latched(len(body), prep)
         ent = ent[body[ent]]
     if pre0 and body[0]:
         ent = np.concatenate(([0], ent))

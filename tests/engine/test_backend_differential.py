@@ -8,11 +8,14 @@ identical distinct report sets everywhere, plus
 the same loop, so any divergence names the offending backend directly.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.pipeline import compile_ruleset
 from repro.engine.backends import available_backends, get_backend
+from repro.engine.block import BlockScanner, numpy_or_none
 from repro.engine.tables import compile_tables
+from tests.helpers import forced_lane_form
 
 #: shapes chosen to exercise every execution path: literal chains,
 #: alternation, anchors, nullables, self-loops, true cycles (scalar
@@ -151,6 +154,37 @@ def test_all_backends_agree_on_module_heavy_rules(rules, data, cuts):
     assert tables.n_modules > 0, rules
     chunks = _chunkings(data, cuts)
     _assert_backends_agree(tables, chunks, (rules, data, cuts))
+
+
+@pytest.mark.skipif(numpy_or_none() is None, reason="numpy not installed")
+@pytest.mark.parametrize("form", ["sparse", "dense"])
+@given(
+    rules=module_rule_lists,
+    data=st.lists(st.sampled_from(list(b"aabbcx.\n")), max_size=60).map(bytes),
+    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=5),
+    block_size=st.sampled_from([2, 3, 7, 64, 1024]),
+)
+@settings(max_examples=40, deadline=None)
+def test_module_heavy_rules_under_forced_lane_forms(form, rules, data, cuts, block_size):
+    """The module-heavy fuzz with the block sweep's STE lanes forced
+    all-sparse, then all-dense, through the registry's scanners and a
+    block scanner of a small block size."""
+    tables = _module_tables_for(rules)
+    chunks = _chunkings(data, cuts)
+    context = (form, rules, data, cuts, block_size)
+    with forced_lane_form(form):
+        _assert_backends_agree(tables, chunks, context)
+        small = BlockScanner(tables, block_size=block_size)
+        for chunk in chunks:
+            small.feed(chunk)
+        small_reports = small.finish()
+    stream = get_backend("stream").make_scanner(tables)
+    for chunk in chunks:
+        stream.feed(chunk)
+    assert small_reports == stream.finish(), context
+    assert small.stats.equivalent(stream.stats), context
+    if form == "dense":
+        assert small.sweep_stats.sparse_lanes == 0, context
 
 
 @given(data=small_data)

@@ -476,6 +476,31 @@ class TestCorpusDifferential:
         # the traffic must actually exercise modules
         assert stream.stats.counter_ops and stream.stats.bit_vector_ops
 
+    def test_long_block_takes_sparse_lanes(self, corpus_tables):
+        """One default-size (16 KiB) block: long enough for the sweep's
+        sparse position lanes, which must reproduce the interpreter's
+        reports, stats and carried state exactly."""
+        data = network_stream(block_engine.DEFAULT_BLOCK_SIZE, seed=3)
+        block = BlockScanner(corpus_tables)
+        stream = StreamScanner(corpus_tables)
+        new = block.feed(data)
+        assert set(new) == set(stream.feed(data))
+        assert [pair[0] for pair in new] == sorted(pair[0] for pair in new)
+        assert block.reports == stream.reports
+        assert block.stats.equivalent(stream.stats)
+        scalar = block._scalar
+        assert (scalar._enabled, scalar._cycle, scalar._counts, scalar._bv) == (
+            stream._enabled,
+            stream._cycle,
+            stream._counts,
+            stream._bv,
+        )
+        assert (scalar._pre, scalar._dirty) == (stream._pre, stream._dirty)
+        sweep = block.sweep_stats
+        assert sweep.committed_blocks == 1
+        assert sweep.sparse_lanes > sweep.dense_lanes > 0
+        assert stream.stats.counter_ops and stream.stats.bit_vector_ops
+
 
 class TestFacadeEngineSelection:
     def test_engine_kwarg_equivalence_all_names(self):

@@ -12,7 +12,11 @@ Three layers of proof that module state is exact under vector sweeps:
   interpreter's after every ``feed()``;
 * the disable-streak decay: a module-dense burst turns sweeps off,
   module-quiescent input turns them back on, equivalence holds across
-  the whole disable/re-enable arc.
+  the whole disable/re-enable arc;
+* both STE lane forms at tiny block sizes: with the sweep's cuts forced
+  all-sparse and then all-dense, the every-split and long-input
+  properties hold again, so sparse STEs hand off to dense modules and
+  on to sparse successors exactly at every block length.
 """
 
 import pytest
@@ -26,6 +30,7 @@ from repro.engine.scanner import StreamScanner
 from repro.engine.tables import compile_tables
 from repro.regex.parser import parse
 from repro.regex.rewrite import simplify
+from tests.helpers import forced_lane_form
 
 pytestmark = pytest.mark.skipif(
     block_engine.numpy_or_none() is None,
@@ -64,8 +69,10 @@ def _assert_every_split_exact(tables, data, block_size):
     """Feed ``data`` split at every possible point; each split must
     carry the interpreter's scalar state across the split and
     reproduce the one-shot reference exactly, with every sweep
-    committing (the whole point of in-lane module execution)."""
+    committing (the whole point of in-lane module execution).  Returns
+    the sparse STE lanes the block scanners evaluated."""
     want_reports, want_stats = _want(tables, data)
+    sparse_lanes = 0
     for split in range(len(data) + 1):
         scanner = BlockScanner(tables, block_size=block_size)
         scanner.feed(data[:split])
@@ -79,6 +86,8 @@ def _assert_every_split_exact(tables, data, block_size):
         sweep = scanner.sweep_stats
         assert sweep.modules_vectorized, context
         assert sweep.rescans == 0, context
+        sparse_lanes += sweep.sparse_lanes
+    return sparse_lanes
 
 
 class TestAnalyze:
@@ -233,34 +242,119 @@ class TestLongInputProperty:
     def test_state_equals_interpreter_after_every_feed(
         self, rules, alphabet, data, block_size
     ):
-        # runs of one byte let a lone token age out at a block boundary
-        runs = data.draw(
-            st.lists(
-                st.tuples(st.sampled_from(list(alphabet)), st.integers(1, 45)),
-                min_size=1,
-                max_size=120,
-            )
+        text, cuts = _long_text(data, alphabet)
+        _assert_long_input_exact(rules, text, cuts, block_size)
+
+
+def _long_text(data, alphabet):
+    """Up to 2,000 bytes of runs of one byte each (the draws of
+    :class:`TestLongInputProperty`), plus up to four feed cut points."""
+    # runs of one byte let a lone token age out at a block boundary
+    runs = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(list(alphabet)), st.integers(1, 45)),
+            min_size=1,
+            max_size=120,
         )
-        text = b"".join(bytes([byte]) * length for byte, length in runs)
-        text = (text * (200 // len(text) + 1))[:2000]
-        cuts = sorted(
-            data.draw(st.lists(st.integers(0, len(text)), min_size=1, max_size=4))
-        )
-        key = ("long",) + rules
+    )
+    text = b"".join(bytes([byte]) * length for byte, length in runs)
+    text = (text * (200 // len(text) + 1))[:2000]
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, len(text)), min_size=1, max_size=4))
+    )
+    return text, cuts
+
+
+def _assert_long_input_exact(rules, text, cuts, block_size):
+    """Feed ``text`` cut at ``cuts`` to the block and the scalar
+    scanner; reports, stats and carried state must agree after every
+    feed.  Returns the sparse STE lanes the block scanner evaluated."""
+    key = ("long",) + rules
+    tables = _TABLES_CACHE.get(key)
+    if tables is None:
+        tables = compile_tables(compile_ruleset(list(rules)).network)
+        _TABLES_CACHE[key] = tables
+    block = BlockScanner(tables, block_size=block_size)
+    stream = StreamScanner(tables)
+    for start, end in zip([0] + cuts, cuts + [len(text)]):
+        block.feed(text[start:end])
+        stream.feed(text[start:end])
+        context = (rules, start, end)
+        assert block.reports == stream.reports, context
+        assert block.stats.equivalent(stream.stats), context
+        assert _carried_state(block._scalar) == _carried_state(stream), context
+    assert block.sweep_stats.modules_vectorized
+    return block.sweep_stats.sparse_lanes
+
+
+@pytest.mark.parametrize("form", ["sparse", "dense"])
+class TestForcedLaneForms:
+    """The chunk-boundary and long-input properties with every eligible
+    STE lane forced sparse, then dense, at block sizes 2 to 1024.  In
+    the sparse form a module's sparse drivers reach it as positions and
+    its dense output lanes feed sparse successors: every hand-off
+    between the two forms lands on a block boundary somewhere."""
+
+    @staticmethod
+    def _assert_form(form, sparse_lanes):
+        if form == "sparse":
+            assert sparse_lanes > 0
+        else:
+            assert sparse_lanes == 0
+
+    @given(
+        lo=st.integers(min_value=2, max_value=4),
+        extra=st.integers(min_value=0, max_value=2),
+        block_size=st.sampled_from([2, 3, 5]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_mixed_ruleset_across_every_split(self, form, lo, extra, block_size):
+        hi = lo + extra
+        key = ("mixed", lo, hi)
         tables = _TABLES_CACHE.get(key)
         if tables is None:
-            tables = compile_tables(compile_ruleset(list(rules)).network)
+            rules = [
+                ("ctr", f"[^a]a{{{lo},{hi}}}"),
+                ("gap", f"b.{{{lo},{hi}}}c"),
+                ("lit", "abc"),
+            ]
+            tables = compile_tables(compile_ruleset(rules).network)
             _TABLES_CACHE[key] = tables
-        block = BlockScanner(tables, block_size=block_size)
-        stream = StreamScanner(tables)
-        for start, end in zip([0] + cuts, cuts + [len(text)]):
-            block.feed(text[start:end])
-            stream.feed(text[start:end])
-            context = (rules, start, end)
-            assert block.reports == stream.reports, context
-            assert block.stats.equivalent(stream.stats), context
-            assert _carried_state(block._scalar) == _carried_state(stream), context
-        assert block.sweep_stats.modules_vectorized
+        data = b"xa" * hi + b"b" + b"y" * lo + b"cabc"
+        with forced_lane_form(form):
+            sparse_lanes = _assert_every_split_exact(tables, data, block_size)
+        self._assert_form(form, sparse_lanes)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [r"[^a]a{2,5}bc", r"xb.{1,3}cd", r"ab[ab]{2,4}c", r"ab(c|d)e", r"x(ab|[ab]b)d"],
+    )
+    @pytest.mark.parametrize("block_size", [2, 3, 7])
+    def test_single_rule_across_every_split(self, form, pattern, block_size):
+        # `x(ab|[ab]b)d`: both predecessors of `d` fire on "xab", so
+        # its sparse candidates must be deduplicated
+        data = b"xaaabcab xbabcd abbabcabdeabce aaaaabcd xabd"
+        with forced_lane_form(form):
+            sparse_lanes = _assert_every_split_exact(_tables(pattern), data, block_size)
+        self._assert_form(form, sparse_lanes)
+
+    @given(
+        rules=st.integers(min_value=1, max_value=3).flatmap(
+            lambda k: st.tuples(*[_long_rule(tag=f"r{i}") for i in range(k)])
+        ),
+        alphabet=st.sampled_from([b"abc", b"ab\n", b"abc\n", b"aab\n"]),
+        data=st.data(),
+        block_size=st.sampled_from([2, 7, 64, 1024]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_state_equals_interpreter_after_every_feed(
+        self, form, rules, alphabet, data, block_size
+    ):
+        text, cuts = _long_text(data, alphabet)
+        with forced_lane_form(form):
+            sparse_lanes = _assert_long_input_exact(rules, text, cuts, block_size)
+        if form == "dense":
+            assert sparse_lanes == 0
 
 
 class TestSweepStats:

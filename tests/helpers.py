@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 from hypothesis import strategies as st
@@ -82,3 +83,27 @@ def random_strings(alphabet: str, count: int, max_len: int, seed: int) -> list[s
         "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
         for _ in range(count)
     ]
+
+
+@contextlib.contextmanager
+def forced_lane_form(form: str):
+    """Run the block sweep with every eligible STE lane in one form.
+
+    ``"sparse"`` lifts both cuts of :mod:`repro.engine.block` so that
+    every STE outside the always-dense kinds (always-on heads,
+    self-loops) is evaluated as sorted positions, at any block length;
+    ``"dense"`` evaluates every STE as a boolean lane."""
+    import repro.engine.block as block_engine
+
+    saved = (block_engine._SPARSE_MIN_BLOCK, block_engine._SPARSE_MAX_SHARE)
+    if form == "sparse":
+        block_engine._SPARSE_MIN_BLOCK = 0
+        block_engine._SPARSE_MAX_SHARE = float("inf")
+    elif form == "dense":
+        block_engine._SPARSE_MIN_BLOCK = float("inf")
+    else:
+        raise ValueError(f"unknown lane form {form!r}")
+    try:
+        yield
+    finally:
+        block_engine._SPARSE_MIN_BLOCK, block_engine._SPARSE_MAX_SHARE = saved
